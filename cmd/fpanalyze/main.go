@@ -1,15 +1,16 @@
-// Command fpanalyze is the unified front end of the analysis registry:
-// every registered analysis — boundary values, coverage, overflow,
-// reachability, satisfiability, NaN/domain errors, and whatever is
-// registered next — is reachable by name through one tool, in single
-// or batch mode.
+// Command fpanalyze is the command-line front end of the analysis
+// registry: every registered analysis — boundary values, coverage,
+// overflow, reachability, satisfiability, NaN/domain errors, and
+// whatever is registered next — is reachable by name through this one
+// tool, in single or batch mode.
 //
 // Usage:
 //
 //	fpanalyze list
-//	fpanalyze <analysis> [flags] [prog.fpl]     # same flags as the per-analysis tools
-//	fpanalyze <analysis> -json ...              # JSON result instead of text
-//	fpanalyze batch [-jobs N] jobs.json         # run a JSON job list, NDJSON out
+//	fpanalyze <analysis> [flags] [prog.fpl|prog.go]  # flags derived from the analysis' knobs
+//	fpanalyze <analysis> -json ...                   # JSON result instead of text
+//	fpanalyze batch [-jobs N] jobs.json              # run a JSON job list, NDJSON out
+//	fpanalyze gslcorpus [-list]                      # the lifted GSL corpus as Go source
 //
 // Examples:
 //
@@ -19,8 +20,14 @@
 //	[{"builtin": "fig2", "spec": {"analysis": "coverage", "seed": 1}}]
 //	EOF
 //
-// The implementation lives in internal/pipeline (FPAnalyzeMain), where
-// the JSON and NDJSON output surfaces are locked by golden tests.
+// Analysis names accept the registry's aliases, among them the names of
+// the former per-analysis tools: `fpanalyze fpbva ARGS` (likewise
+// coverme, fpod, fpreach, and xsat) takes the same arguments and prints
+// the same report those tools did.
+//
+// The implementation lives in internal/pipeline (FPAnalyzeMain). Golden
+// tests lock its JSON and NDJSON output there and its text reports in
+// internal/cli.
 package main
 
 import (

@@ -52,8 +52,6 @@ func main() {
 		os.Exit(crash(args))
 	case "cluster":
 		os.Exit(clusterCmd(args))
-	case "load":
-		os.Exit(load(args))
 	case "shrink":
 		os.Exit(shrink(args))
 	case "help", "-h", "-help", "--help":
@@ -66,13 +64,12 @@ func main() {
 }
 
 func usage(w *os.File) {
-	fmt.Fprintln(w, "usage: fpfuzz generate|run|crash|cluster|load|shrink [flags]")
+	fmt.Fprintln(w, "usage: fpfuzz generate|run|crash|cluster|shrink [flags]")
 	fmt.Fprintln(w, "  generate -n N [-seed S] [-dims D] [-o DIR]  emit corpus programs")
 	fmt.Fprintln(w, "  run [-n N] [-seed S] [-evals E] [-workers W] [-backends a,b] [-analyses x,y]")
 	fmt.Fprintln(w, "      [-layers engine,backend,replay] [-lanes W1,W2] [-recheck] [-max-violations M] [-v]")
 	fmt.Fprintln(w, "  crash [-rounds R] [-seed S] [-programs P] [-panic-jobs N] [-fault-prob F] [-selftest] [-v]")
 	fmt.Fprintln(w, "  cluster [-workers W] [-seed S] [-programs P] [-evals E] [-selftest] [-v]")
-	fmt.Fprintln(w, "  load [-target URL] [-workers W] [-programs P] [-batches B] [-c N] [-seed S] [-evals E] [-stats] [-v]")
 	fmt.Fprintln(w, "  shrink [-inject-div] [-seed S] [-index I] [-lanes W1,W2] [prog.fpl]")
 }
 
@@ -276,62 +273,6 @@ func clusterCmd(args []string) int {
 		}
 		fmt.Fprintln(os.Stderr, "fpfuzz cluster: selftest ok: tampering detected")
 		return 0
-	}
-	if !res.Ok() {
-		for i, v := range res.Violations {
-			if i >= 5 {
-				fmt.Fprintf(os.Stderr, "... and %d more violations\n", len(res.Violations)-5)
-				break
-			}
-			fmt.Fprintln(os.Stderr, "VIOLATION", v.String())
-		}
-		return 1
-	}
-	return 0
-}
-
-// load replays an fplgen workload against a coordinator — a running
-// one via -target, or an in-process fleet — and reports end-to-end
-// jobs/s plus the coordinator's routing attribution.
-func load(args []string) int {
-	fs := flag.NewFlagSet("fpfuzz load", flag.ContinueOnError)
-	target := fs.String("target", "", "base URL of a running coordinator (default: spin up an in-process fleet)")
-	workers := fs.Int("workers", 2, "in-process fleet size when no -target is given")
-	programs := fs.Int("programs", 8, "generated programs registered up front")
-	batches := fs.Int("batches", 0, "job batches replayed, cycling over the programs (0 = 2 per program)")
-	conc := fs.Int("c", 4, "concurrent submitters")
-	seed := fs.Int64("seed", 1, "workload seed")
-	dims := fs.Int("dims", 3, "cycle entry arity over 1..dims")
-	evals := fs.Int("evals", 60, "weak-distance evaluations per analysis")
-	analyses := fs.String("analyses", "", "comma-separated analysis subset (default: all applicable)")
-	stats := fs.Bool("stats", false, "print the target's /stats document after the run")
-	verbose := fs.Bool("v", false, "coordinator log output")
-	if err := fs.Parse(args); err != nil {
-		return flagExit(err)
-	}
-	o := fuzz.LoadOptions{
-		Target:      *target,
-		Workers:     *workers,
-		Programs:    *programs,
-		Batches:     *batches,
-		Concurrency: *conc,
-		Seed:        *seed,
-		MaxDims:     *dims,
-		Evals:       *evals,
-		Analyses:    splitList(*analyses),
-	}
-	if *verbose {
-		o.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	res := fuzz.RunLoad(o)
-	fmt.Println("fpfuzz load:", res.Summary())
-	if *stats && res.Stats != nil {
-		fmt.Println(string(res.Stats))
-		for addr, ws := range res.WorkerStats {
-			fmt.Printf("%s %s\n", addr, ws)
-		}
 	}
 	if !res.Ok() {
 		for i, v := range res.Violations {

@@ -6,9 +6,9 @@
 // referencing them (or inline source), poll or stream results, and
 // cancel jobs mid-minimization — cancellation reaches the MO backends
 // within one objective evaluation. Errors are application/problem+json
-// with field-level spec-validation details. The legacy synchronous
-// /analyze endpoint is kept, wire-compatible, as a thin wrapper over
-// the same job engine. See docs/api.md for the endpoint reference.
+// with field-level spec-validation details. GET /stats and GET /healthz
+// are the operational endpoints. See docs/api.md for the endpoint
+// reference.
 //
 // Usage:
 //
@@ -177,8 +177,8 @@ func main() {
 		Addr:    *addr,
 		Handler: srv.Handler(),
 		// Slow-header connections must not pin goroutines forever on a
-		// long-running service. (No WriteTimeout: analyze responses and
-		// SSE streams run for as long as their jobs do.)
+		// long-running service. (No WriteTimeout: SSE streams run for as
+		// long as their jobs do.)
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       2 * time.Minute,
 	}

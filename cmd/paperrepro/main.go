@@ -16,22 +16,16 @@
 //
 // The -engine flag selects the FPL execution engine (vm — the compiled
 // flat-code VM, the default — or tree, the reference tree-walking
-// interpreter) for every interpreter-backed program in the run. For A/B
-// timing of the engines themselves, -fpl measures raw instrumented
-// evaluation throughput of an FPL program:
-//
-//	paperrepro -engine=vm   -fpl testdata/fig2.fpl -evals 2000000
-//	paperrepro -engine=tree -fpl testdata/fig2.fpl -evals 2000000
+// interpreter) for every interpreter-backed program in the run. The
+// engines' own evaluation throughput is measured by the repository's
+// BenchmarkEvalEngine (go test -run '^$' -bench BenchmarkEvalEngine .).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"repro/internal/cli"
-	"repro/internal/instrument"
 	"repro/internal/interp"
 	"repro/internal/paper"
 )
@@ -59,9 +53,6 @@ func main() {
 	engine := flag.String("engine", "vm", "FPL execution engine: vm (compiled flat code) or tree (reference tree-walker)")
 	lifted := flag.Bool("lifted", false,
 		"run the GSL study (tables 3-5) over the corpus lifted from the real Go sources by the Go frontend, cross-checking the curated findings")
-	fpl := flag.String("fpl", "", "measure instrumented eval throughput of this FPL file under -engine and exit")
-	fn := flag.String("fn", "", "entry function for -fpl (default: first declared)")
-	evals := flag.Int("evals", 1_000_000, "evaluations to time with -fpl")
 	flag.Parse()
 
 	eng, err := interp.ParseEngine(*engine)
@@ -70,14 +61,6 @@ func main() {
 		os.Exit(2)
 	}
 	interp.DefaultEngine = eng
-
-	if *fpl != "" {
-		if err := throughput(*fpl, *fn, eng, *evals); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *all {
 		tables = intList{1, 2, 3, 4, 5}
@@ -143,40 +126,4 @@ func main() {
 	if want(tables, 5) {
 		fmt.Println(gslStudy.FormatTable5())
 	}
-}
-
-// throughput times instrumented objective evaluations of one FPL
-// program under the selected engine — the A/B harness for the
-// compiled-VM-versus-tree-walker comparison.
-func throughput(path, fn string, eng interp.Engine, evals int) error {
-	it, p, err := cli.LoadFPL(path, fn)
-	if err != nil {
-		return err
-	}
-	mon := &instrument.Boundary{}
-	x := make([]float64, p.Dim)
-	for i := range x {
-		x[i] = 0.5 * float64(i+1)
-	}
-	// Warm up (compile caches, frame arena).
-	for i := 0; i < 1000; i++ {
-		p.Execute(mon, x)
-	}
-	it.ClearFailures()
-	start := time.Now()
-	var sink float64
-	for i := 0; i < evals; i++ {
-		sink = p.Execute(mon, x)
-		if i&0xfff == 0 {
-			// Programs whose asserts fire on the probe input would
-			// otherwise accumulate a failure record per evaluation.
-			it.ClearFailures()
-		}
-	}
-	elapsed := time.Since(start)
-	perEval := elapsed / time.Duration(evals)
-	fmt.Printf("%s %s engine=%s: %d evals in %v (%v/eval, %.2fM evals/s) [w=%g]\n",
-		path, p.Name, eng, evals, elapsed.Round(time.Millisecond),
-		perEval, float64(evals)/elapsed.Seconds()/1e6, sink)
-	return nil
 }

@@ -1,5 +1,5 @@
 // Package cli carries the shared plumbing of the command-line tools:
-// loading FPL programs from disk, resolving built-in benchmark
+// loading FPL and Go programs from disk, resolving built-in benchmark
 // programs, and parsing bound/path specifications.
 package cli
 
@@ -52,71 +52,44 @@ func Builtin(name string) (*rt.Program, error) {
 	return mk(), nil
 }
 
-// LoadFPL compiles a source file — FPL, or Go when the path ends in
-// .go — and wraps the named function (empty = sole or first function)
-// as an instrumentable program.
-func LoadFPL(path, fn string) (*interp.Interp, *rt.Program, error) {
-	return LoadSource(path, "", fn, interp.DefaultEngine)
-}
-
-// LoadFPLEngine is LoadFPL with an explicit execution engine.
-func LoadFPLEngine(path, fn string, eng interp.Engine) (*interp.Interp, *rt.Program, error) {
-	return LoadSource(path, "", fn, eng)
-}
-
 // LoadSource compiles a source file under lang ("fpl" or "go"; empty =
 // detect from the path extension, .go meaning Go) and wraps the named
-// function as an instrumentable program. Compile errors carry
-// file:line:col positions for both languages.
-func LoadSource(path, lang, fn string, eng interp.Engine) (*interp.Interp, *rt.Program, error) {
+// function (empty = the first declared) as an instrumentable program
+// executed by eng. Compile errors carry file:line:col positions for
+// both languages.
+func LoadSource(path, lang, fn string, eng interp.Engine) (*rt.Program, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var lg gofront.Lang
 	if lang == "" {
 		lg = gofront.DetectLang(path)
 	} else if lg, err = gofront.ParseLang(lang); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	mod, err := gofront.CompileSource(lg, path, string(src))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if fn == "" {
 		fn = mod.Order[0]
 	}
 	it := interp.New(mod)
 	it.Engine = eng
-	p, err := it.Program(fn)
-	if err != nil {
-		return nil, nil, err
-	}
-	return it, p, nil
+	return it.Program(fn)
 }
 
-// Resolve loads either a built-in (-builtin name) or a source file.
-func Resolve(builtin, file, fn string) (*rt.Program, error) {
-	return ResolveEngine(builtin, file, fn, interp.DefaultEngine)
-}
-
-// ResolveEngine is Resolve with an explicit execution engine for
-// source files (built-ins are native ports and ignore it).
-func ResolveEngine(builtin, file, fn string, eng interp.Engine) (*rt.Program, error) {
-	return ResolveLang(builtin, file, "", fn, eng)
-}
-
-// ResolveLang is ResolveEngine with an explicit source language (empty
-// = detect from the file extension).
-func ResolveLang(builtin, file, lang, fn string, eng interp.Engine) (*rt.Program, error) {
+// Resolve loads either a built-in (-builtin name) or a source file
+// (see LoadSource). Built-ins are native ports and ignore lang and eng.
+func Resolve(builtin, file, lang, fn string, eng interp.Engine) (*rt.Program, error) {
 	switch {
 	case builtin != "" && file != "":
 		return nil, analysis.Specf("program", "", "use either -builtin or a source file, not both")
 	case builtin != "":
 		return Builtin(builtin)
 	case file != "":
-		_, p, err := LoadSource(file, lang, fn, eng)
-		return p, err
+		return LoadSource(file, lang, fn, eng)
 	}
 	return nil, analysis.Specf("program", "", "no program: pass -builtin NAME or a source file (builtins: %s)",
 		strings.Join(BuiltinNames(), ", "))
@@ -202,9 +175,4 @@ func ParsePath(spec string) ([]instrument.Decision, error) {
 		ds = append(ds, instrument.Decision{Site: site, Taken: taken})
 	}
 	return ds, nil
-}
-
-// Backend resolves a backend name through the opt registry.
-func Backend(name string) (opt.Minimizer, error) {
-	return opt.BackendByName(name)
 }

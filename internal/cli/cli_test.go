@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/instrument"
+	"repro/internal/interp"
 )
 
 func TestBuiltinResolution(t *testing.T) {
@@ -36,7 +37,7 @@ func main_prog(x double) { if (x < helper(x)) { x = x + 1.0; } }
 		t.Fatal(err)
 	}
 	// Named function.
-	_, p, err := LoadFPL(path, "main_prog")
+	p, err := LoadSource(path, "", "main_prog", interp.DefaultEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func main_prog(x double) { if (x < helper(x)) { x = x + 1.0; } }
 		t.Errorf("program %q dim %d", p.Name, p.Dim)
 	}
 	// Default function: the first declared.
-	_, p2, err := LoadFPL(path, "")
+	p2, err := LoadSource(path, "", "", interp.DefaultEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,22 +55,22 @@ func main_prog(x double) { if (x < helper(x)) { x = x + 1.0; } }
 	// Errors surface with the path.
 	bad := filepath.Join(dir, "bad.fpl")
 	os.WriteFile(bad, []byte("func f(x double) { y = 1.0; }"), 0o644)
-	if _, _, err := LoadFPL(bad, ""); err == nil || !strings.Contains(err.Error(), "bad.fpl") {
+	if _, err := LoadSource(bad, "", "", interp.DefaultEngine); err == nil || !strings.Contains(err.Error(), "bad.fpl") {
 		t.Errorf("compile error without path context: %v", err)
 	}
-	if _, _, err := LoadFPL(filepath.Join(dir, "missing.fpl"), ""); err == nil {
+	if _, err := LoadSource(filepath.Join(dir, "missing.fpl"), "", "", interp.DefaultEngine); err == nil {
 		t.Error("missing file not reported")
 	}
 }
 
 func TestResolve(t *testing.T) {
-	if _, err := Resolve("fig2", "", ""); err != nil {
+	if _, err := Resolve("fig2", "", "", "", interp.DefaultEngine); err != nil {
 		t.Errorf("builtin resolve: %v", err)
 	}
-	if _, err := Resolve("fig2", "x.fpl", ""); err == nil {
+	if _, err := Resolve("fig2", "x.fpl", "", "", interp.DefaultEngine); err == nil {
 		t.Error("both sources accepted")
 	}
-	if _, err := Resolve("", "", ""); err == nil {
+	if _, err := Resolve("", "", "", "", interp.DefaultEngine); err == nil {
 		t.Error("no source accepted")
 	}
 }
@@ -122,16 +123,5 @@ func TestParsePath(t *testing.T) {
 		if _, err := ParsePath(spec); err == nil {
 			t.Errorf("ParsePath(%q): expected error", spec)
 		}
-	}
-}
-
-func TestBackend(t *testing.T) {
-	for _, name := range []string{"", "basinhopping", "bh", "de", "powell", "random", "nm", "sa"} {
-		if _, err := Backend(name); err != nil {
-			t.Errorf("Backend(%q): %v", name, err)
-		}
-	}
-	if _, err := Backend("gradient-descent"); err == nil {
-		t.Error("unknown backend accepted")
 	}
 }

@@ -1,10 +1,9 @@
 package cli
 
-// This file implements SpecFlags, the registry-driven replacement for
-// the flag boilerplate the five analysis CLIs used to copy-paste: which
-// flags a tool exposes is derived from the analysis' Knobs declaration,
-// and parsing them yields a uniform analysis.Spec plus the loaded
-// Input. RunTool is the whole body of a thin per-analysis command.
+// This file implements SpecFlags, the registry-driven analysis flags:
+// which flags an analysis exposes is derived from its Knobs
+// declaration, and parsing them yields a uniform analysis.Spec plus the
+// loaded Input. RunTool is the text mode of `fpanalyze <analysis>`.
 
 import (
 	"context"
@@ -153,7 +152,7 @@ func (sf *SpecFlags) Resolve(args []string) (analysis.Input, analysis.Spec, erro
 		if err != nil {
 			return in, sf.spec, &analysis.SpecError{Field: "engine", Value: sf.engine, Reason: err.Error()}
 		}
-		p, err := ResolveLang(sf.builtin, file, sf.lang, sf.fn, eng)
+		p, err := Resolve(sf.builtin, file, sf.lang, sf.fn, eng)
 		if err != nil {
 			return in, sf.spec, err
 		}
@@ -180,10 +179,10 @@ func (sf *SpecFlags) Resolve(args []string) (analysis.Input, analysis.Spec, erro
 	return in, sf.spec, nil
 }
 
-// RunTool is the entire body of a thin per-analysis command wrapper:
-// register the registry-derived flags, parse, load, run, render in the
-// tool's historical output format. It returns the process exit code
-// (0 ok, 1 error, 2 negative analysis outcome — the legacy contract).
+// RunTool runs one analysis from the command line: register the
+// registry-derived flags, parse, load, run, render the report as text.
+// tool prefixes diagnostics. It returns the process exit code (0 ok,
+// 1 error, 2 negative analysis outcome).
 func RunTool(tool, analysisName string, args []string, stdout, stderr io.Writer) int {
 	a, err := analysis.Lookup(analysisName)
 	if err != nil {
@@ -221,11 +220,4 @@ func RunTool(tool, analysisName string, args []string, stdout, stderr io.Writer)
 		return 2
 	}
 	return 0
-}
-
-// Main wraps RunTool for a command's func main.
-func Main(tool, analysisName string) {
-	if code := RunTool(tool, analysisName, os.Args[1:], os.Stdout, os.Stderr); code != 0 {
-		os.Exit(code)
-	}
 }

@@ -177,15 +177,6 @@ func (c *Client) Cancel(ctx context.Context, jobID string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+jobID, nil, nil)
 }
 
-// Stats fetches the worker's raw /stats document.
-func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/stats", nil, &raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
 // errNotFound reports whether err is a worker 404 — after a worker
 // restart (or an eviction) the job ID is gone, which the dispatcher
 // treats like a death (requeue the jobs), not a transient to retry.

@@ -144,7 +144,7 @@ func goldenRun(t testing.TB, jobs []pipeline.Job) []string {
 
 func followAll(t testing.TB, eng *pipeline.JobEngine, jobs []pipeline.Job, want pipeline.JobStatus) []string {
 	t.Helper()
-	rec, err := eng.Submit(nil, jobs, 0)
+	rec, err := eng.Submit(jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCoordinatorKillWorkerMidBatch(t *testing.T) {
 
 	ws := startWorkers(t, 2, 1)
 	eng, coord := coordEngine(t, ws, cluster.Config{Seed: 11})
-	rec, err := eng.Submit(nil, jobs, 0)
+	rec, err := eng.Submit(jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestCoordinatorBackpressure(t *testing.T) {
 	// A hog job occupies the worker's single admission slot: an
 	// unreachable path under a 10^7-eval basinhopping spec — it burns
 	// until canceled.
-	hog, err := eng.Submit(nil, []pipeline.Job{{Builtin: "fig2", Spec: analysis.Spec{
+	hog, err := eng.Submit([]pipeline.Job{{Builtin: "fig2", Spec: analysis.Spec{
 		Analysis: "reach", Seed: 1, Starts: 1_000_000, Evals: 10_000_000, Workers: 1,
 		Backend: "basinhopping",
 		Path:    []instrument.Decision{{Site: 0, Taken: true}},
@@ -315,7 +315,7 @@ func TestCoordinatorBackpressure(t *testing.T) {
 
 	// A second batch now 429s on submit; the coordinator keeps it
 	// pending and opens its shed window.
-	quick, err := eng.Submit(nil, []pipeline.Job{{Source: testProgram(1), Func: "f", Spec: analysis.Spec{
+	quick, err := eng.Submit([]pipeline.Job{{Source: testProgram(1), Func: "f", Spec: analysis.Spec{
 		Analysis: "coverage", Seed: 2, Evals: 60, Stall: 2, Workers: 1}}}, 0)
 	if err != nil {
 		t.Fatal(err)

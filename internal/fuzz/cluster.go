@@ -123,7 +123,7 @@ func followBatches(eng *pipeline.JobEngine, batches [][]pipeline.Job, vf func(fo
 	var vs []Violation
 	recs := make([]*pipeline.JobRecord, 0, len(batches))
 	for i, jobs := range batches {
-		rec, err := eng.Submit(nil, jobs, 0)
+		rec, err := eng.Submit(jobs, 0)
 		if err != nil {
 			vs = append(vs, vf("submit %d: %v", i, err))
 			recs = append(recs, nil)

@@ -47,23 +47,3 @@ func TestClusterCampaignSelfTest(t *testing.T) {
 		t.Errorf("violations do not include a divergence report: %+v", res.Violations)
 	}
 }
-
-// TestLoadHarnessSmoke replays a tiny workload through an in-process
-// fleet: every batch must complete and the throughput accounting must
-// add up.
-func TestLoadHarnessSmoke(t *testing.T) {
-	res := fuzz.RunLoad(fuzz.LoadOptions{
-		Seed: 1, Programs: 2, Batches: 4, Concurrency: 2, Evals: 30,
-	})
-	if !res.Ok() {
-		for _, v := range res.Violations {
-			t.Errorf("%s", v.Detail)
-		}
-	}
-	if res.Batches != 4 || res.Jobs == 0 || res.JobsPerSec <= 0 {
-		t.Errorf("load accounting: %s", res.Summary())
-	}
-	if res.Stats == nil {
-		t.Error("no /stats document scraped after the run")
-	}
-}

@@ -228,7 +228,7 @@ func (o CrashOptions) goldenRun(dir string, batches [][]pipeline.Job) (map[strin
 	var vs []Violation
 	var order []string
 	for i, jobs := range batches {
-		rec, err := eng.Submit(nil, jobs, 0)
+		rec, err := eng.Submit(jobs, 0)
 		if err != nil {
 			vs = append(vs, crashV("golden submit %d: %v", i, err))
 			continue

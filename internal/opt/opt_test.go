@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +41,19 @@ func globalBackends() []Minimizer {
 		&DifferentialEvolution{InitSpan: 100},
 		&Powell{},
 		&RandomSearch{},
+	}
+}
+
+// TestBackendByName: canonical names and aliases resolve, and an
+// unknown spelling is an error listing the valid names.
+func TestBackendByName(t *testing.T) {
+	for _, name := range []string{"", "basinhopping", "bh", "de", "powell", "random", "nm", "sa"} {
+		if _, err := BackendByName(name); err != nil {
+			t.Errorf("BackendByName(%q): %v", name, err)
+		}
+	}
+	if _, err := BackendByName("gradient-descent"); err == nil || !strings.Contains(err.Error(), "basinhopping") {
+		t.Errorf("unknown backend: %v", err)
 	}
 }
 

@@ -1,10 +1,9 @@
 package pipeline
 
 // This file is the whole body of the fpanalyze command, hosted here —
-// beside the pipeline it drives — so the tool's JSON and NDJSON
-// surfaces are golden-testable in-process, exactly like the legacy
-// text CLIs are through cli.RunTool. cmd/fpanalyze is a thin wrapper
-// over FPAnalyzeMain.
+// beside the pipeline it drives — so the tool's text, JSON and NDJSON
+// surfaces are golden-testable in-process. cmd/fpanalyze is a thin
+// wrapper over FPAnalyzeMain.
 
 import (
 	"context"
@@ -21,10 +20,10 @@ import (
 )
 
 // FPAnalyzeMain runs the fpanalyze command line: `list`, `batch`, or a
-// registered analysis name with the shared registry-driven flags (plus
-// -json for the pipeline's wire shape instead of the legacy text
-// rendering). It returns the process exit code: 0 ok, 1 error, 2
-// negative analysis outcome.
+// registered analysis name (or alias) with the shared registry-driven
+// flags (plus -json for the pipeline's wire shape instead of the text
+// report). It returns the process exit code: 0 ok, 1 error, 2 negative
+// analysis outcome.
 func FPAnalyzeMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
 		fpanalyzeUsage(stderr)
@@ -83,8 +82,8 @@ func fpanalyzeGSLCorpus(args []string, stdout, stderr io.Writer) int {
 }
 
 // fpanalyzeRun executes one analysis with the shared registry-driven
-// flags. The -json flag swaps the legacy text rendering for the
-// pipeline's JSON result shape.
+// flags. The -json flag swaps the text report for the pipeline's JSON
+// result shape.
 func fpanalyzeRun(name string, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	a, err := analysis.Lookup(name)
 	if err != nil {

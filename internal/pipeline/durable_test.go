@@ -79,7 +79,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	}
 	eng := pipeline.NewJobEngine(pipeline.New(2))
 	eng.Store = store
-	rec, err := eng.Submit(nil, quickJobs(3), 0)
+	rec, err := eng.Submit(quickJobs(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 		}
 	}
 	// A restored ID is never reissued.
-	rec3, err := eng2.Submit(nil, quickJobs(1), 0)
+	rec3, err := eng2.Submit(quickJobs(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func (s *stubStore) JobSubmitted(id string, jobs []pipeline.Job, timeout time.Du
 	}
 	return nil
 }
-func (s *stubStore) JobStarted(string) error                          { return nil }
+func (s *stubStore) JobStarted(string) error                           { return nil }
 func (s *stubStore) ResultAppended(string, int, json.RawMessage) error { return nil }
 func (s *stubStore) JobTerminal(string, pipeline.JobStatus, string, time.Time) error {
 	return nil
@@ -368,13 +368,6 @@ func TestAdmissionControl429(t *testing.T) {
 	p := decode[pipeline.ProblemDetails](t, data)
 	if p.Type != "urn:fpserve:problem:overloaded" || p.Status != 429 {
 		t.Errorf("problem: %+v", p)
-	}
-	// The legacy endpoint sheds the same way.
-	resp, _ = doJSON(t, "POST", ts.URL+"/analyze",
-		`{"jobs": [{"spec": {"analysis": "xsat", "seed": 1, "formula": "x < 1"}}]}`)
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Errorf("legacy analyze over watermark: status %d, Retry-After %q",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 
 	// Cancel to clear the pressure; acceptance resumes.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"io"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,22 +100,14 @@ func TestFPAnalyzeJSONGolden(t *testing.T) {
 	}
 }
 
-// TestFPServeGolden locks the fpserve HTTP surfaces: the /analyses
-// listing and the NDJSON stream of POST /analyze.
+// TestFPServeGolden locks the fpserve HTTP surfaces: the
+// /v1/analyses listing, and the results of a /v1 job streamed over its
+// event stream, one wire result per line.
 func TestFPServeGolden(t *testing.T) {
-	srv := httptest.NewServer(pipeline.NewServer(2).Handler())
-	defer srv.Close()
+	_, ts := v1Server(t, 2)
 
 	t.Run("analyses", func(t *testing.T) {
-		resp, err := srv.Client().Get(srv.URL + "/analyses")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp, body := doJSON(t, "GET", ts.URL+"/v1/analyses", "")
 		if resp.StatusCode != 200 {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
@@ -131,21 +122,14 @@ func TestFPServeGolden(t *testing.T) {
 				{"analysis": "nan", "seed": 1, "evals": 300, "rounds": 4},
 				{"analysis": "reach", "seed": 1, "path": [{"Site": 0, "Taken": true}], "bounds": [{"lo": -100, "hi": 100}]}
 			]}`
-		resp, err := srv.Client().Post(srv.URL+"/analyze", "application/json", strings.NewReader(req))
+		results, err := runV1Batch(ts.URL, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		var ndjson strings.Builder
+		for _, r := range results {
+			ndjson.WriteString(r + "\n")
 		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-			t.Errorf("content type %q", ct)
-		}
-		checkGolden(t, "fpserve_analyze.ndjson", string(body))
+		checkGolden(t, "fpserve_analyze.ndjson", ndjson.String())
 	})
 }

@@ -107,7 +107,7 @@ func TestViewCursorMonotoneDuringExecution(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = quickJob(int64(i + 1))
 	}
-	rec, err := eng.Submit(nil, jobs, 0)
+	rec, err := eng.Submit(jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestViewCursorMonotoneDuringExecution(t *testing.T) {
 		if v.Status == JobRunning {
 			// Probing past the end must not error, return results, or
 			// lose the probe's position.
-			probe := rec.View(cursor + 100, 3)
+			probe := rec.View(cursor+100, 3)
 			if len(probe.Results) != 0 {
 				t.Fatalf("probe past end returned %d results", len(probe.Results))
 			}
@@ -193,7 +193,7 @@ func TestSweepPinnedByLiveSubscriber(t *testing.T) {
 	eng := NewJobEngine(New(1))
 	eng.TTL = 5 * time.Millisecond
 	drainEngine(t, eng)
-	rec, err := eng.Submit(nil, []Job{quickJob(1)}, 0)
+	rec, err := eng.Submit([]Job{quickJob(1)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSweepPinnedByLiveSubscriber(t *testing.T) {
 	}()
 	<-emitted
 
-	time.Sleep(3 * eng.TTL) // well past the TTL
+	time.Sleep(3 * eng.TTL)            // well past the TTL
 	if _, ok := eng.Get(rec.ID); !ok { // Get runs the sweep
 		t.Fatal("finished job evicted by the TTL sweep while a subscriber was mid-replay")
 	}
@@ -240,7 +240,7 @@ func TestCapacityEvictionPinnedByLiveSubscriber(t *testing.T) {
 	eng := NewJobEngine(New(1))
 	eng.MaxTrackedJobs = 1
 	drainEngine(t, eng)
-	rec, err := eng.Submit(nil, []Job{quickJob(1)}, 0)
+	rec, err := eng.Submit([]Job{quickJob(1)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestCapacityEvictionPinnedByLiveSubscriber(t *testing.T) {
 	}()
 	<-emitted
 
-	if _, err := eng.Submit(nil, []Job{quickJob(2)}, 0); !errors.Is(err, ErrJobTableFull) {
+	if _, err := eng.Submit([]Job{quickJob(2)}, 0); !errors.Is(err, ErrJobTableFull) {
 		t.Fatalf("submit against a table holding only a subscribed job: err %v, want ErrJobTableFull", err)
 	}
 	if _, ok := eng.Get(rec.ID); !ok {
@@ -274,7 +274,7 @@ func TestCapacityEvictionPinnedByLiveSubscriber(t *testing.T) {
 	}
 	// Slot freed: the same submission now lands by evicting the
 	// finished job.
-	if _, err := eng.Submit(nil, []Job{quickJob(3)}, 0); err != nil {
+	if _, err := eng.Submit([]Job{quickJob(3)}, 0); err != nil {
 		t.Fatalf("submit after the subscriber detached: %v", err)
 	}
 	if _, ok := eng.Get(rec.ID); ok {

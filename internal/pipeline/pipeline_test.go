@@ -289,3 +289,23 @@ func TestPipelineJobErrors(t *testing.T) {
 		t.Errorf("alias job: %+v", r)
 	}
 }
+
+// TestXSatGroundFormulaWire: a false variable-free formula is undecided
+// with a finite minimum distance, so its wire result carries the report
+// instead of a serialization error.
+func TestXSatGroundFormulaWire(t *testing.T) {
+	r := pipeline.New(1).RunJob(context.Background(), 0, pipeline.Job{
+		Spec: analysis.Spec{Analysis: "xsat", Seed: 1, Formula: "1 < 0"}})
+	wire := pipeline.MarshalResult(r)
+	var got struct {
+		Error  string `json:"error"`
+		Failed bool   `json:"failed"`
+		Report *struct{ MinDistance float64 }
+	}
+	if err := json.Unmarshal(wire, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Error != "" || !got.Failed || got.Report == nil || !(got.Report.MinDistance > 0) {
+		t.Errorf("wire result %s, want an undecided report with a positive minimum distance", wire)
+	}
+}

@@ -15,43 +15,14 @@ import (
 	"repro/internal/opt"
 )
 
-// Request is the fpserve analyze payload: either a fully explicit job
-// list, or the shorthand of one program (builtin or inline FPL source)
-// fanned over a list of specs.
-type Request struct {
-	// Jobs is the explicit form; when set the shorthand fields are
-	// ignored.
-	Jobs []Job `json:"jobs,omitempty"`
-	// Builtin / Source / Func name one program (see Job).
-	Builtin string `json:"builtin,omitempty"`
-	Source  string `json:"source,omitempty"`
-	Func    string `json:"func,omitempty"`
-	// Specs is the list of analyses to run on that program.
-	Specs []analysis.Spec `json:"specs,omitempty"`
-}
-
-// jobs expands the request into its job list.
-func (r Request) jobs() []Job {
-	if len(r.Jobs) > 0 {
-		return r.Jobs
-	}
-	out := make([]Job, 0, len(r.Specs))
-	for _, s := range r.Specs {
-		out = append(out, Job{Builtin: r.Builtin, Source: r.Source, Func: r.Func, Spec: s})
-	}
-	return out
-}
-
-// Server is the fpserve HTTP front end. Every surface — the versioned
-// /v1 resource API and the legacy flat endpoints — runs over one
-// pipeline (one module cache, one worker-pool bound) and one job
-// engine, so program registrations, async jobs, and legacy synchronous
-// batches all share compilation and cancellation plumbing.
+// Server is the fpserve HTTP front end: the /v1 resource API plus the
+// operational /stats and /healthz endpoints, over one pipeline (one
+// module cache, one worker-pool bound) and one job engine, so program
+// registrations and jobs share compilation and cancellation plumbing.
 type Server struct {
 	// PL is the shared pipeline.
 	PL *Pipeline
-	// Engine is the async job engine; the legacy /analyze endpoint is a
-	// synchronous wrapper over it.
+	// Engine is the async job engine behind /v1/jobs.
 	Engine *JobEngine
 	// Programs is the /v1 registered-program store.
 	Programs *ProgramStore
@@ -110,11 +81,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // details. Every /v1 request honors a Request-Timeout header (a Go
 // duration) as its deadline.
 //
-// Legacy surface (wire-compatible with the unversioned server):
+// Operational endpoints:
 //
-//	POST /analyze  — run a batch synchronously; streams one JSON result
-//	                 per line (NDJSON) in job order as jobs complete
-//	GET  /analyses — list registered analyses with their default specs
 //	GET  /stats    — module-cache, job-engine, and traffic counters
 //	GET  /healthz  — liveness
 func (s *Server) Handler() http.Handler {
@@ -136,9 +104,7 @@ func (s *Server) Handler() http.Handler {
 			"no /v1 resource at "+r.URL.Path)
 	})
 
-	// Legacy flat surface.
-	mux.HandleFunc("/analyze", s.handleAnalyze)
-	mux.HandleFunc("/analyses", s.handleAnalyses)
+	// Operational endpoints.
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -179,74 +145,13 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 	})
 }
 
-// Request-hardening limits: an analyze/submit body may not exceed
+// Request-hardening limits: a request body may not exceed
 // maxRequestBytes, and one request may not enqueue more than
 // maxJobsPerRequest jobs.
 const (
 	maxRequestBytes   = 8 << 20
 	maxJobsPerRequest = 4096
 )
-
-// handleAnalyze is the legacy synchronous endpoint, kept as a thin
-// compatibility wrapper over the job engine: the batch is submitted
-// like any /v1 job (same pool, same cache, same cancellation) and its
-// results are streamed back as NDJSON, byte-identical to the historical
-// wire format. The request context rides along as the job's parent, so
-// a client disconnect cancels the batch mid-minimization.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST a JSON request body", http.StatusMethodNotAllowed)
-		return
-	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	jobs := req.jobs()
-	if len(jobs) == 0 {
-		http.Error(w, "no jobs: set jobs, or builtin/source plus specs", http.StatusBadRequest)
-		return
-	}
-	if len(jobs) > maxJobsPerRequest {
-		http.Error(w, fmt.Sprintf("%d jobs exceeds the per-request limit of %d",
-			len(jobs), maxJobsPerRequest), http.StatusBadRequest)
-		return
-	}
-	// Untracked: this response delivers every result, the client never
-	// learns a job ID, and the endpoint's concurrency is bounded by its
-	// open connections — it must not occupy (or be refused by) the /v1
-	// job table. The request context rides along as the job's parent,
-	// so a client disconnect cancels the batch mid-minimization.
-	rec, err := s.Engine.SubmitUntracked(r.Context(), jobs)
-	if err != nil {
-		// The legacy surface predates problem+json but still honors the
-		// load-shedding contract: watermark refusals are 429 with a
-		// Retry-After hint, everything else stays 503.
-		var over ErrOverloaded
-		if errors.As(err, &over) {
-			setRetryAfter(w, over.RetryAfter)
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	s.requests.Add(1)
-	s.jobs.Add(int64(len(jobs)))
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	FollowJob(r.Context(), rec, func(res []byte) {
-		w.Write(res)
-		w.Write([]byte("\n"))
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-}
 
 func (s *Server) handleAnalyses(w http.ResponseWriter, r *http.Request) {
 	type entry struct {

@@ -1,15 +1,15 @@
 package pipeline_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/interp"
@@ -19,79 +19,88 @@ import (
 	"repro/internal/rt"
 )
 
-func serverRequestBody(t testing.TB, srcs map[string]string) string {
-	t.Helper()
-	bounds := []opt.Bound{{Lo: -100, Hi: 100}}
-	req := pipeline.Request{
-		Source: srcs["fig2.fpl"],
-		Func:   "prog",
-		Specs: []analysis.Spec{
-			{Analysis: "coverage", Seed: 2, Evals: 300, Stall: 2, Workers: 1, Bounds: bounds},
-			{Analysis: "bva", Seed: 1, Starts: 2, Evals: 200, Workers: 1, Bounds: bounds},
-			{Analysis: "overflow", Seed: 3, Evals: 300, Rounds: 6, Workers: 1},
-			{Analysis: "nan", Seed: 5, Evals: 300, Rounds: 6, Workers: 1},
-		},
-	}
-	body, err := json.Marshal(req)
+// runV1Batch submits a POST /v1/jobs body and follows the job over its
+// SSE event stream to the done event, returning the result events'
+// bytes in order. It reports failures instead of failing the test, so
+// concurrent clients can call it.
+func runV1Batch(base, body string) ([]string, error) {
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return string(body)
-}
-
-func postAnalyze(t testing.TB, url, body string) []map[string]any {
-	t.Helper()
-	resp, err := http.Post(url+"/analyze", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	if resp.StatusCode != http.StatusAccepted {
+		return nil, fmt.Errorf("submit: status %d: %s", resp.StatusCode, data)
 	}
-	var out []map[string]any
-	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-		var m map[string]any
-		if err := json.Unmarshal(pipeline.NormalizeDurations(line), &m); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
+	var sub struct {
+		Events string `json:"events"`
+	}
+	if err := json.Unmarshal(data, &sub); err != nil {
+		return nil, err
+	}
+	events, err := streamSSE(base+sub.Events, 60*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	var results []string
+	for _, ev := range events {
+		switch ev.name {
+		case "result":
+			results = append(results, ev.data)
+		case "done":
+			var v pipeline.JobView
+			if err := json.Unmarshal([]byte(ev.data), &v); err != nil {
+				return nil, err
+			}
+			if v.Status != pipeline.JobCompleted {
+				return nil, fmt.Errorf("job ended %s (%s)", v.Status, v.Reason)
+			}
+			return results, nil
 		}
-		out = append(out, m)
 	}
-	return out
+	return nil, fmt.Errorf("event stream ended without a done event after %d results", len(results))
 }
 
-// TestServeConcurrentBitIdentical is the fpserve acceptance test: ≥8
-// concurrent requests over one shared module cache return results
-// bit-identical to the serial in-process analysis path, and the cached
-// module is never recompiled.
+// TestServeConcurrentBitIdentical is the fpserve acceptance test: 8
+// concurrent /v1 batches over one shared module cache, each followed
+// over its event stream, return results byte-identical (durations
+// masked) to the serial in-process registry path, and the cached module
+// is never recompiled.
 func TestServeConcurrentBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent request sweep in -short mode")
 	}
-	srcs := loadFixtures(t)
-	srv := pipeline.NewServer(0)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	body := serverRequestBody(t, srcs)
-
-	// The serial oracle: the same jobs through the registry directly,
-	// one at a time, rendered through the same JSON shape.
-	var req pipeline.Request
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
+	src := loadFixtures(t)["fig2.fpl"]
+	srv, ts := v1Server(t, 0)
+	bounds := []opt.Bound{{Lo: -100, Hi: 100}}
+	specs := []analysis.Spec{
+		{Analysis: "coverage", Seed: 2, Evals: 300, Stall: 2, Workers: 1, Bounds: bounds},
+		{Analysis: "bva", Seed: 1, Starts: 2, Evals: 200, Workers: 1, Bounds: bounds},
+		{Analysis: "overflow", Seed: 3, Evals: 300, Rounds: 6, Workers: 1},
+		{Analysis: "nan", Seed: 5, Evals: 300, Rounds: 6, Workers: 1},
+	}
+	body, err := json.Marshal(struct {
+		Source string          `json:"source"`
+		Func   string          `json:"func"`
+		Specs  []analysis.Spec `json:"specs"`
+	}{src, "prog", specs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var want []map[string]any
-	for i, spec := range req.Specs {
+
+	// The serial oracle: the same jobs through the registry directly,
+	// one at a time, rendered through the same wire encoding.
+	var want []string
+	for i, spec := range specs {
 		a, err := analysis.Lookup(spec.Analysis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := weakCompile(req.Source, req.Func)
+		p, err := weakCompile(src, "prog")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,41 +110,42 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 		}
 		res := pipeline.JobResult{Index: i, Analysis: a.Name(), Program: p.Name,
 			Report: rep, Summary: rep.Summary(), Failed: rep.Failed()}
-		var m map[string]any
-		if err := json.Unmarshal(pipeline.NormalizeDurations(pipeline.MarshalResult(res)), &m); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, m)
+		want = append(want, normalizeJSON(string(pipeline.MarshalResult(res))))
 	}
+	wantAll := strings.Join(want, "\n")
 
 	const clients = 8
-	got := make([][]map[string]any, clients)
+	got := make([][]string, clients)
+	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			got[c] = postAnalyze(t, ts.URL, body)
+			got[c], errs[c] = runV1Batch(ts.URL, string(body))
 		}(c)
 	}
 	wg.Wait()
 
-	wantJSON := mustJSON(t, want)
 	for c := 0; c < clients; c++ {
-		if gotJSON := mustJSON(t, got[c]); gotJSON != wantJSON {
-			t.Errorf("client %d diverged from the serial path.\ngot:  %s\nwant: %s", c, gotJSON, wantJSON)
+		if errs[c] != nil {
+			t.Errorf("client %d: %v", c, errs[c])
+			continue
+		}
+		if gotAll := normalizeJSON(strings.Join(got[c], "\n")); gotAll != wantAll {
+			t.Errorf("client %d diverged from the serial path.\ngot:  %s\nwant: %s", c, gotAll, wantAll)
 		}
 	}
 
 	// One source, one engine: exactly one compilation across all eight
-	// concurrent requests — cached-module requests never recompile.
+	// concurrent batches — cached-module jobs never recompile.
 	if st := srv.PL.Cache.Stats(); st.Compiles != 1 {
-		t.Errorf("module compiled %d times across %d concurrent requests, want 1 (stats %+v)",
+		t.Errorf("module compiled %d times across %d concurrent batches, want 1 (stats %+v)",
 			st.Compiles, clients, st)
 	}
 
-	// The stats and health endpoints respond.
-	for _, path := range []string{"/stats", "/healthz", "/analyses"} {
+	// The operational endpoints and the analysis listing respond.
+	for _, path := range []string{"/stats", "/healthz", "/v1/analyses"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: %v %v", path, err, resp)
@@ -144,57 +154,42 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests covers the HTTP error surface.
+// TestServeBadRequests covers the HTTP error surface outside the
+// problem goldens: malformed submissions are refused before anything is
+// scheduled, a job-level failure is a result rather than an HTTP error,
+// and the retired unversioned routes are gone.
 func TestServeBadRequests(t *testing.T) {
-	ts := httptest.NewServer(pipeline.NewServer(1).Handler())
-	defer ts.Close()
+	_, ts := v1Server(t, 1)
 
-	if resp, err := http.Get(ts.URL + "/analyze"); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /analyze: %v %v", err, resp.StatusCode)
+	for _, path := range []string{"/analyze", "/analyses"} {
+		for _, method := range []string{"GET", "POST"} {
+			resp, _ := doJSON(t, method, ts.URL+path, `{"builtin": "fig2", "specs": [{"analysis": "bva"}]}`)
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404", method, path, resp.StatusCode)
+			}
+		}
 	}
 	for _, body := range []string{"", "{}", `{"jobs": []}`, `{"nonsense": 1}`} {
-		resp, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		resp, data := doJSON(t, "POST", ts.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %q: status %d, want 400", body, resp.StatusCode)
+			t.Errorf("POST %q: status %d, want 400: %s", body, resp.StatusCode, data)
 		}
 	}
-	// A job-level failure is a result line, not an HTTP error.
-	lines := postAnalyze(t, ts.URL, `{"builtin": "nope", "specs": [{"analysis": "bva"}]}`)
-	if len(lines) != 1 || lines[0]["error"] == nil {
-		t.Errorf("job-level failure: %v", lines)
-	}
 
-	// Oversized batches are rejected up front, not scheduled.
-	var big strings.Builder
-	big.WriteString(`{"builtin": "fig2", "specs": [`)
-	for i := 0; i < 5000; i++ {
-		if i > 0 {
-			big.WriteString(",")
-		}
-		big.WriteString(`{"analysis": "bva"}`)
+	// A job-level failure is a result, not an HTTP error.
+	resp, data := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"builtin": "nope", "specs": [{"analysis": "bva"}]}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("unknown builtin: status %d, want 202: %s", resp.StatusCode, data)
 	}
-	big.WriteString(`]}`)
-	resp, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(big.String()))
-	if err != nil {
-		t.Fatal(err)
+	sub := decode[struct {
+		ID string `json:"id"`
+	}](t, data)
+	v := pollJob(t, ts.URL, sub.ID, 30*time.Second, func(v pipeline.JobView) bool {
+		return v.Status == pipeline.JobCompleted
+	})
+	if len(v.Results) != 1 || decodeResult(t, v.Results[0]).Error == "" {
+		t.Errorf("job-level failure: %+v", v)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("5000-job request: status %d, want 400", resp.StatusCode)
-	}
-}
-
-func mustJSON(t testing.TB, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // weakCompile compiles FPL source outside the pipeline cache (the

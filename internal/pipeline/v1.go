@@ -321,7 +321,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		validationProblem(w, fmt.Sprintf("%d validation errors across %d jobs", len(errs), len(v1jobs)), errs)
 		return
 	}
-	rec, err := s.Engine.Submit(nil, jobs, timeout)
+	rec, err := s.Engine.Submit(jobs, timeout)
 	if err != nil {
 		s.submitProblem(w, err)
 		return

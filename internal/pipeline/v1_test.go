@@ -258,23 +258,33 @@ type sseEvent struct{ name, data string }
 // deadline.
 func readSSE(t testing.TB, url string, deadline time.Duration) []sseEvent {
 	t.Helper()
+	events, err := streamSSE(url, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// streamSSE is readSSE for goroutines other than the test's own: it
+// returns failures instead of failing the test.
+func streamSSE(url string, deadline time.Duration) ([]sseEvent, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("SSE: status %d: %s", resp.StatusCode, body)
+		return nil, fmt.Errorf("SSE: status %d: %s", resp.StatusCode, body)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("SSE content type %q", ct)
+		return nil, fmt.Errorf("SSE content type %q", ct)
 	}
 	var events []sseEvent
 	var cur sseEvent
@@ -291,13 +301,13 @@ func readSSE(t testing.TB, url string, deadline time.Duration) []sseEvent {
 			if cur.name != "" {
 				events = append(events, cur)
 				if cur.name == "done" {
-					return events
+					return events, nil
 				}
 				cur = sseEvent{}
 			}
 		}
 	}
-	return events
+	return events, nil
 }
 
 // TestV1CancelMidMinimization is the acceptance criterion: DELETE on a
@@ -425,10 +435,21 @@ func TestV1ShutdownGraceful(t *testing.T) {
 }
 
 // TestV1ProblemGolden locks the problem+json error model to golden
-// fixtures: field-level spec-validation details, not-found, and bad
-// pagination.
+// fixtures: field-level spec-validation details, not-found, bad
+// pagination, and the per-request job limit.
 func TestV1ProblemGolden(t *testing.T) {
 	_, ts := v1Server(t, 1)
+	// One job over the per-request limit of 4096: refused up front, not
+	// scheduled.
+	var tooLarge strings.Builder
+	tooLarge.WriteString(`{"builtin": "fig2", "specs": [`)
+	for i := 0; i < 5000; i++ {
+		if i > 0 {
+			tooLarge.WriteString(",")
+		}
+		tooLarge.WriteString(`{"analysis": "bva"}`)
+	}
+	tooLarge.WriteString(`]}`)
 	cases := []struct {
 		golden, method, path, body string
 		status                     int
@@ -454,6 +475,7 @@ func TestV1ProblemGolden(t *testing.T) {
 		{"problem_bad_pagination.json", "GET", "/v1/jobs/job-404?offset=-1&limit=zero", "", http.StatusBadRequest},
 		{"problem_unknown_resource.json", "GET", "/v1/nope", "", http.StatusNotFound},
 		{"problem_bad_request_timeout.json", "GET", "/v1/jobs", "", http.StatusBadRequest},
+		{"problem_too_large.json", "POST", "/v1/jobs", tooLarge.String(), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -482,26 +504,6 @@ func TestV1ProblemGolden(t *testing.T) {
 			}
 			checkGolden(t, tc.golden, string(data))
 		})
-	}
-}
-
-// TestLegacyAnalyzeReleasesRecord: the synchronous endpoint delivers
-// its results in the response, so it must not park job records (and
-// their result sets) in the engine table afterward.
-func TestLegacyAnalyzeReleasesRecord(t *testing.T) {
-	srv, ts := v1Server(t, 1)
-	body := `{"builtin": "fig2", "specs": [
-		{"analysis": "coverage", "seed": 1, "evals": 200, "stall": 2, "workers": 1,
-		 "bounds": [{"lo": -100, "hi": 100}]}]}`
-	resp, data := doJSON(t, "POST", ts.URL+"/analyze", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze: status %d: %s", resp.StatusCode, data)
-	}
-	if st := srv.Engine.Stats(); st.Tracked != 0 {
-		t.Errorf("legacy batch left %d records in the job table", st.Tracked)
-	}
-	if st := srv.Engine.Stats(); st.Submitted != 1 {
-		t.Errorf("submitted = %d", st.Submitted)
 	}
 }
 
@@ -573,7 +575,7 @@ func TestJobCapacityEvictionOnlyOnSubmit(t *testing.T) {
 		return v.Status == pipeline.JobCompleted
 	})
 
-	// A running occupant refuses further submissions...
+	// A running occupant refuses further submissions.
 	resp, data = doJSON(t, "POST", ts.URL+"/v1/jobs", longReachBody(""))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("long submit: status %d: %s", resp.StatusCode, data)
@@ -590,12 +592,6 @@ func TestJobCapacityEvictionOnlyOnSubmit(t *testing.T) {
 	}
 	if p := decode[pipeline.ProblemDetails](t, data); p.Status != http.StatusTooManyRequests {
 		t.Errorf("problem body status %d, want 429", p.Status)
-	}
-	// ...but the legacy synchronous endpoint is untracked and unaffected.
-	resp, data = doJSON(t, "POST", ts.URL+"/analyze",
-		`{"specs": [{"analysis": "xsat", "seed": 1, "formula": "x < 1"}], "builtin": ""}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy analyze with full table: status %d: %s", resp.StatusCode, data)
 	}
 	doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+long.ID, "")
 }

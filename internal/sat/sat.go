@@ -291,14 +291,16 @@ type Result struct {
 // sound; Unknown answers may be incomplete.
 func Solve(ctx context.Context, f *Formula, o Options) Result {
 	dim := f.Dim()
+	w := f.WeakDistance(!o.RealDist)
 	if dim == 0 {
-		// Ground formula: evaluate directly.
+		// Ground formula: evaluate directly. R on the empty assignment is
+		// the exact minimum, and finite (R clamps to MaxFloat), so the
+		// result stays JSON-serializable.
 		if f.Eval(nil) {
 			return Result{Verdict: Sat, Model: []float64{}}
 		}
-		return Result{Verdict: Unknown, MinDistance: math.Inf(1)}
+		return Result{Verdict: Unknown, MinDistance: w(nil)}
 	}
-	w := f.WeakDistance(!o.RealDist)
 	prob := core.Problem{
 		Name: "xsat",
 		Dim:  dim,

@@ -169,6 +169,14 @@ func TestGroundFormula(t *testing.T) {
 	if r2.Verdict == Sat {
 		t.Errorf("ground false formula: %+v", r2)
 	}
+	// The minimum distance of a false ground formula is its R, which is
+	// positive and finite (an infinite one is not JSON-serializable).
+	for _, o := range []Options{{}, {RealDist: true}} {
+		r3, _ := solveText(t, "1 < 0", o)
+		if r3.Verdict == Sat || !(r3.MinDistance > 0) || math.IsInf(r3.MinDistance, 0) {
+			t.Errorf("ground false formula (RealDist=%v): %+v, want Unknown with finite positive MinDistance", o.RealDist, r3)
+		}
+	}
 }
 
 func TestParseBasics(t *testing.T) {
