@@ -84,7 +84,7 @@ func BenchmarkFig7_CharacteristicAblation(b *testing.B) {
 // to reach all 8 reachable conditions.
 func BenchmarkFig9_SinConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := paper.SinBoundaryStudy(int64(i)+1, 64, 4000)
+		s := paper.SinBoundaryStudyWorkers(int64(i)+1, 64, 4000, 0)
 		n := len(s.Report.Progress)
 		if n == 0 || s.Report.Progress[n-1].Conditions < 8 {
 			b.Fatalf("reached %d conditions, want 8", s.Report.Progress[n-1].Conditions)
@@ -96,7 +96,7 @@ func BenchmarkFig9_SinConvergence(b *testing.B) {
 // value statistics for the glibc sin port.
 func BenchmarkTable2_SinBVA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := paper.SinBoundaryStudy(int64(i)+1, 64, 4000)
+		s := paper.SinBoundaryStudyWorkers(int64(i)+1, 64, 4000, 0)
 		if s.Report.SoundnessViolations != 0 {
 			b.Fatal("unsound boundary values")
 		}
@@ -171,7 +171,7 @@ func BenchmarkTable4_BesselPerOp(b *testing.B) {
 // pipeline with inconsistency classification and confirmed-bug replay.
 func BenchmarkTable5_InconsistencyReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := paper.GSLStudy(int64(i)+1, 6000)
+		res := paper.GSLStudyWorkers(int64(i)+1, 6000, 0)
 		var airy paper.Table3Row
 		for _, r := range res.Rows {
 			if r.File == "airy" {
@@ -546,7 +546,7 @@ func BenchmarkCoverageFig2(b *testing.B) {
 //	go test -bench=BenchmarkSolve -benchtime=10x
 func BenchmarkSolve(b *testing.B) {
 	mkProb := func(name string, w func([]float64) float64) core.Problem {
-		return core.Problem{Name: name, Dim: 1, W: w,
+		return core.Problem{Name: name, Dim: 1,
 			NewW: func() core.WeakDistance { return w }}
 	}
 	fixtures := []struct {

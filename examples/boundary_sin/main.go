@@ -11,7 +11,7 @@ import (
 )
 
 func main() {
-	study := paper.SinBoundaryStudy(1, 64, 4000)
+	study := paper.SinBoundaryStudyWorkers(1, 64, 4000, 0)
 	fmt.Print(study.FormatTable2())
 	fmt.Println()
 	fmt.Print(study.FormatFig9())

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	study := paper.GSLStudy(1, 6000)
+	study := paper.GSLStudyWorkers(1, 6000, 0)
 	fmt.Print(study.FormatTable3())
 	fmt.Println()
 	fmt.Print(study.FormatTable4())

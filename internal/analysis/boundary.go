@@ -42,7 +42,7 @@ type BoundaryOptions struct {
 	// selects 16.
 	KeepValues int
 	// Workers sets multi-start parallelism: 0 selects runtime.NumCPU(),
-	// 1 forces serial execution. The report is identical for every
+	// 1 runs one worker. The report is identical for every
 	// value — per-start traces are merged in start order, so parallelism
 	// only changes wall-clock time.
 	Workers int

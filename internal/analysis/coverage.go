@@ -26,8 +26,8 @@ type CoverOptions struct {
 	Bounds []opt.Bound
 	// ULP selects ULP branch distances.
 	ULP bool
-	// Workers sets the parallelism: 0 selects runtime.NumCPU(), 1
-	// forces the serial loop. Rounds have a sequential dependency (each
+	// Workers sets the parallelism: 0 selects runtime.NumCPU(), 1 runs
+	// one round at a time. Rounds have a sequential dependency (each
 	// round's weak distance is built over the covered set left by the
 	// previous one), so parallelism is speculative: Workers rounds are
 	// minimized concurrently against a snapshot of the covered set, and

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/gsl"
 )
@@ -26,61 +24,16 @@ type Inconsistency struct {
 
 // CheckInconsistencies replays candidate inputs (typically the overflow
 // findings of Algorithm 3) through the concrete function and returns
-// the inconsistent ones — the |I| column of Table 3. Replays run on
-// runtime.NumCPU() workers; see CheckInconsistenciesWorkers.
+// the inconsistent ones, first occurrence of each input in input order
+// — the |I| column of Table 3. The replay is one native call per input
+// (tens per Table 3 row), so it runs serially: a goroutine pool costs
+// more than the calls it would overlap.
 func CheckInconsistencies(fn SFFunc, inputs [][]float64) []Inconsistency {
-	return CheckInconsistenciesWorkers(fn, inputs, 0)
-}
-
-// CheckInconsistenciesWorkers is CheckInconsistencies with an explicit
-// worker count (0 selects runtime.NumCPU(), 1 forces serial). Each
-// input replays independently — fn must be safe for concurrent calls,
-// which the pure GSL ports are — and results are collected in input
-// order, so the output is identical for every worker count.
-func CheckInconsistenciesWorkers(fn SFFunc, inputs [][]float64, workers int) []Inconsistency {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
-
-	type replay struct {
-		res gsl.Result
-		st  gsl.Status
-		bad bool
-	}
-	replays := make([]replay, len(inputs))
-	if workers > 1 {
-		jobs := make(chan int, len(inputs))
-		for i := range inputs {
-			jobs <- i
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					res, st := fn(inputs[i])
-					replays[i] = replay{res: res, st: st, bad: gsl.Inconsistent(res, st)}
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, in := range inputs {
-			res, st := fn(in)
-			replays[i] = replay{res: res, st: st, bad: gsl.Inconsistent(res, st)}
-		}
-	}
-
 	var out []Inconsistency
 	seen := map[string]bool{}
-	for i, in := range inputs {
-		r := replays[i]
-		if !r.bad {
+	for _, in := range inputs {
+		res, st := fn(in)
+		if !gsl.Inconsistent(res, st) {
 			continue
 		}
 		key := fingerprint(in)
@@ -92,10 +45,10 @@ func CheckInconsistenciesWorkers(fn SFFunc, inputs [][]float64, workers int) []I
 		copy(x, in)
 		out = append(out, Inconsistency{
 			Input:  x,
-			Val:    r.res.Val,
-			Err:    r.res.Err,
-			Status: r.st,
-			Cause:  Classify(r.res),
+			Val:    res.Val,
+			Err:    res.Err,
+			Status: st,
+			Cause:  Classify(res),
 		})
 	}
 	return out

@@ -31,8 +31,8 @@ type OverflowOptions struct {
 	// case that failing to find a minimum 0 is due to incompleteness");
 	// zero selects 3.
 	RetriesPerTarget int
-	// Workers sets the parallelism: 0 selects runtime.NumCPU(), 1
-	// forces the serial loop. Rounds depend on the tracked set L built
+	// Workers sets the parallelism: 0 selects runtime.NumCPU(), 1 runs
+	// one round at a time. Rounds depend on the tracked set L built
 	// by earlier rounds, so parallelism is speculative: Workers rounds
 	// run concurrently against a snapshot of L, and speculative results
 	// are discarded as soon as a consumed round changes L. The report is

@@ -3,7 +3,6 @@ package analysis_test
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -12,8 +11,8 @@ import (
 )
 
 // TestPortfolioDeterminism is the acceptance pin of the portfolio
-// scheduler: through the registry Spec path (backend=portfolio with the
-// plateau detector actively escalating, via a small stall window), the
+// scheduler: through the registry Spec path (backend=portfolio, its
+// plateau detector escalating at the default stall window), the
 // analyses must report bit-identical findings for every worker count
 // and lane width, batched vs scalar — the same table contract the fixed
 // backends satisfy, now with the scheduler's probe/race/early-exit
@@ -38,11 +37,11 @@ func TestPortfolioDeterminism(t *testing.T) {
 
 	specs := []analysis.Spec{
 		{Analysis: "bva", Seed: 11, Starts: 6, Evals: 1200,
-			Backend: "portfolio", StallWindow: 150, Bounds: bounds},
+			Backend: "portfolio", Bounds: bounds},
 		{Analysis: "coverage", Seed: 12, Evals: 1200, Stall: 4,
-			Backend: "portfolio", StallWindow: 150, Bounds: bounds},
+			Backend: "portfolio", Bounds: bounds},
 		{Analysis: "reach", Seed: 14, Starts: 6, Evals: 2000,
-			Backend: "portfolio", StallWindow: 150, Bounds: bounds,
+			Backend: "portfolio", Bounds: bounds,
 			Path: []instrument.Decision{{Site: 0, Taken: true}, {Site: 1, Taken: false}}},
 	}
 	for _, spec := range specs {
@@ -58,42 +57,5 @@ func TestPortfolioDeterminism(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStallKnobsRequirePortfolio: the stall knobs are typed SpecErrors
-// on any other backend, and invalid values are rejected.
-func TestStallKnobsRequirePortfolio(t *testing.T) {
-	p := compileFig2(t)
-	a, err := analysis.Lookup("bva")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(spec analysis.Spec) error {
-		spec.Analysis, spec.Seed, spec.Starts, spec.Evals = "bva", 1, 2, 200
-		_, err := a.Run(context.Background(), analysis.Input{Program: p}, spec)
-		return err
-	}
-
-	if err := run(analysis.Spec{Backend: "basinhopping", StallWindow: 100}); err == nil {
-		t.Error("stallWindow accepted on a fixed backend")
-	} else if se, ok := err.(*analysis.SpecError); !ok || se.Field != "stallWindow" {
-		t.Errorf("want a stallWindow SpecError, got %v", err)
-	}
-	if err := run(analysis.Spec{Backend: "basinhopping", StallRatio: 0.1}); err == nil {
-		t.Error("stallRatio accepted on a fixed backend")
-	} else if se, ok := err.(*analysis.SpecError); !ok || se.Field != "stallRatio" {
-		t.Errorf("want a stallRatio SpecError, got %v", err)
-	}
-	if err := run(analysis.Spec{Backend: "portfolio", StallWindow: -1}); err == nil ||
-		!strings.Contains(err.Error(), ">= 0") {
-		t.Errorf("negative stallWindow not rejected: %v", err)
-	}
-	if err := run(analysis.Spec{Backend: "portfolio", StallRatio: 1.5}); err == nil ||
-		!strings.Contains(err.Error(), "[0, 1)") {
-		t.Errorf("stallRatio 1.5 not rejected: %v", err)
-	}
-	if err := run(analysis.Spec{Backend: "portfolio", StallWindow: 100, StallRatio: 0.05}); err != nil {
-		t.Errorf("valid portfolio stall knobs rejected: %v", err)
 	}
 }

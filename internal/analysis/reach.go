@@ -26,9 +26,8 @@ type ReachOptions struct {
 	// equality-guarded paths like `if (x == 0)` soundly reachable).
 	ULP bool
 	// Workers sets multi-start parallelism: 0 selects runtime.NumCPU(),
-	// 1 forces the serial loop. The result is identical for every
-	// value — the solver reports the lowest-index restart that reaches
-	// the path, exactly as the serial loop does.
+	// 1 runs one worker. The result is identical for every value — the
+	// solver reports the lowest-index restart that reaches the path.
 	Workers int
 	// Lanes sets the batch evaluation width: each restart's weak
 	// distance evaluates candidate batches as lane-parallel VM sweeps
@@ -43,13 +42,11 @@ type ReachOptions struct {
 // membership guard). The context cancels the search at evaluation
 // granularity.
 func ReachPath(ctx context.Context, p *rt.Program, target []instrument.Decision, o ReachOptions) core.Result {
-	mon := &instrument.Path{Target: target, ULP: o.ULP}
 	prob := core.Problem{
 		Name: p.Name + "-reach",
 		Dim:  p.Dim,
-		W:    p.WeakDistance(mon),
-		// Each parallel restart minimizes its own weak-distance instance
-		// (own monitor, own program instance for interpreter-backed
+		// Each restart minimizes its own weak-distance instance (own
+		// monitor, own program instance for interpreter-backed
 		// programs), so no execution state is shared across workers.
 		NewW: func() core.WeakDistance {
 			inst := p.Instance()

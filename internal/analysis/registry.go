@@ -42,14 +42,6 @@ type Spec struct {
 	// Backend names the MO backend (see opt.BackendNames; "" selects
 	// basinhopping).
 	Backend string `json:"backend,omitempty"`
-	// StallWindow tunes the portfolio scheduler's plateau window in
-	// weak-distance evaluations (backend "portfolio" only; 0 selects
-	// 400 × dim).
-	StallWindow int `json:"stallWindow,omitempty"`
-	// StallRatio tunes the portfolio scheduler's minimum relative
-	// best-objective decay per window (backend "portfolio" only; 0
-	// selects 0.01).
-	StallRatio float64 `json:"stallRatio,omitempty"`
 	// ULP selects ULP branch/boundary distances (Limitation-2
 	// mitigation).
 	ULP bool `json:"ulp,omitempty"`
@@ -61,65 +53,70 @@ type Spec struct {
 	// RealDist selects real-valued |l-r| atom distances for xsat.
 	RealDist bool `json:"realDist,omitempty"`
 	// Workers sets intra-analysis parallelism: 0 selects
-	// runtime.NumCPU(), 1 forces serial. Reports are identical for
-	// every value.
+	// runtime.NumCPU(), 1 runs one worker. Reports are identical for
+	// every value. Capped at MaxWorkers.
 	Workers int `json:"workers,omitempty"`
 	// Lanes sets the batch evaluation width: weak distances evaluate
 	// candidate batches as lane-parallel VM sweeps of up to Lanes
 	// inputs per sweep. 0 or 1 keeps the scalar path; reports are
 	// identical for every value (the batch contract is bit-identity).
-	// Formula-based analyses (xsat) ignore it.
+	// Formula-based analyses (xsat) ignore it. Capped at MaxLanes.
+	//
+	// The batch VM pays off end to end: `fpanalyze bva -workers 1
+	// -starts 8 -evals 20000 testdata/newton.fpl` took 1.90–2.12 s at
+	// lanes 0 and 1.41–1.47 s at lanes 64 with -backend de, and
+	// 0.85–1.02 s against 0.72–0.93 s with basinhopping (2-vCPU Intel
+	// Xeon, linux/amd64, Go 1.24). No benchmark workload sets lanes, so
+	// choosing the width automatically waits for one that does.
 	Lanes int `json:"lanes,omitempty"`
-	// Engine selects the FPL execution engine ("vm" or "tree"); used by
-	// the program loaders, not the analyses themselves.
-	Engine string `json:"engine,omitempty"`
 	// Path is the target decision sequence (reach).
 	Path []instrument.Decision `json:"path,omitempty"`
 	// Formula is the CNF source (xsat).
 	Formula string `json:"formula,omitempty"`
 }
 
-// backend resolves the spec's backend name and applies the portfolio
-// stall knobs, typing failures as field-level SpecErrors.
-func (s Spec) backend() (opt.Minimizer, error) {
-	be, err := opt.BackendByName(s.Backend)
-	if err != nil {
-		return nil, &SpecError{Field: "backend", Value: s.Backend, Reason: err.Error()}
-	}
-	if s.StallWindow < 0 {
-		return nil, &SpecError{Field: "stallWindow", Value: fmt.Sprint(s.StallWindow), Reason: "stallWindow must be >= 0"}
-	}
-	if s.StallRatio < 0 || s.StallRatio >= 1 {
-		return nil, &SpecError{Field: "stallRatio", Value: fmt.Sprint(s.StallRatio), Reason: "stallRatio must be in [0, 1)"}
-	}
-	if s.StallWindow > 0 || s.StallRatio > 0 {
-		pf, ok := opt.AsPortfolio(be)
-		if !ok {
-			field := "stallWindow"
-			if s.StallWindow == 0 {
-				field = "stallRatio"
-			}
-			return nil, &SpecError{Field: field,
-				Reason: fmt.Sprintf("stall knobs tune the portfolio scheduler; backend is %q (want portfolio)", s.Backend)}
-		}
-		pf.StallWindow = s.StallWindow
-		pf.StallRatio = s.StallRatio
-	}
-	return be, nil
-}
+// The parallelism knobs size allocations before any evaluation runs,
+// so they are capped rather than trusted: a job above a cap is refused
+// instead of exhausting the host's memory. Both caps admit every value
+// the docs, CI and benchmarks use (workers up to 8, lanes up to 64).
+const (
+	// MaxWorkers caps Spec.Workers. It bounds what one job holds at
+	// once: at most MaxWorkers goroutines, each with its own program
+	// instance and weak-distance monitor, and MaxWorkers speculated
+	// rounds (coverage, overflow, nan) or start results per batch (bva).
+	MaxWorkers = 256
+	// MaxLanes caps Spec.Lanes. It bounds one batch evaluator — a
+	// monitor per lane plus the VM's per-lane register columns, about
+	// 9 bytes per register per lane — of which each running worker
+	// holds one.
+	MaxLanes = 256
+)
 
-// ValidateBackend checks the backend name and the portfolio stall
-// knobs without running anything. Submit-time validators (the /v1 job
-// API) use it to reject knob misuse with a field-located error before
-// a job executes; Run performs the same checks itself.
-func (s Spec) ValidateBackend() *SpecError {
-	if _, err := s.backend(); err != nil {
-		if spe, ok := err.(*SpecError); ok {
-			return spe
-		}
+// Validate checks the knobs that need no program — the caps on workers
+// and lanes, then the backend name — typing a failure as a field-level
+// SpecError. Every Run performs it first; submit-time validators (the
+// /v1 job API) call it to refuse a job before it executes.
+func (s Spec) Validate() *SpecError {
+	if s.Workers > MaxWorkers {
+		return &SpecError{Field: "workers", Value: fmt.Sprint(s.Workers),
+			Reason: fmt.Sprintf("workers must be at most %d", MaxWorkers)}
+	}
+	if s.Lanes > MaxLanes {
+		return &SpecError{Field: "lanes", Value: fmt.Sprint(s.Lanes),
+			Reason: fmt.Sprintf("lanes must be at most %d", MaxLanes)}
+	}
+	if _, err := opt.BackendByName(s.Backend); err != nil {
 		return &SpecError{Field: "backend", Value: s.Backend, Reason: err.Error()}
 	}
 	return nil
+}
+
+// backend validates the spec and resolves its backend.
+func (s Spec) backend() (opt.Minimizer, error) {
+	if spe := s.Validate(); spe != nil {
+		return nil, spe
+	}
+	return opt.BackendByName(s.Backend)
 }
 
 // Input is what a registered analysis runs on.
@@ -405,7 +402,7 @@ func (overflowAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, erro
 			inputs = append(inputs, f.Input)
 		}
 		run.SFChecked = true
-		run.Inconsistencies = CheckInconsistenciesWorkers(in.SF, inputs, s.Workers)
+		run.Inconsistencies = CheckInconsistencies(in.SF, inputs)
 	}
 	return run, nil
 }

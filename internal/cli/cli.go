@@ -54,10 +54,9 @@ func Builtin(name string) (*rt.Program, error) {
 
 // LoadSource compiles a source file under lang ("fpl" or "go"; empty =
 // detect from the path extension, .go meaning Go) and wraps the named
-// function (empty = the first declared) as an instrumentable program
-// executed by eng. Compile errors carry file:line:col positions for
-// both languages.
-func LoadSource(path, lang, fn string, eng interp.Engine) (*rt.Program, error) {
+// function (empty = the first declared) as an instrumentable program.
+// Compile errors carry file:line:col positions for both languages.
+func LoadSource(path, lang, fn string) (*rt.Program, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -75,21 +74,19 @@ func LoadSource(path, lang, fn string, eng interp.Engine) (*rt.Program, error) {
 	if fn == "" {
 		fn = mod.Order[0]
 	}
-	it := interp.New(mod)
-	it.Engine = eng
-	return it.Program(fn)
+	return interp.New(mod).Program(fn)
 }
 
 // Resolve loads either a built-in (-builtin name) or a source file
-// (see LoadSource). Built-ins are native ports and ignore lang and eng.
-func Resolve(builtin, file, lang, fn string, eng interp.Engine) (*rt.Program, error) {
+// (see LoadSource). Built-ins are native ports and ignore lang.
+func Resolve(builtin, file, lang, fn string) (*rt.Program, error) {
 	switch {
 	case builtin != "" && file != "":
 		return nil, analysis.Specf("program", "", "use either -builtin or a source file, not both")
 	case builtin != "":
 		return Builtin(builtin)
 	case file != "":
-		return LoadSource(file, lang, fn, eng)
+		return LoadSource(file, lang, fn)
 	}
 	return nil, analysis.Specf("program", "", "no program: pass -builtin NAME or a source file (builtins: %s)",
 		strings.Join(BuiltinNames(), ", "))

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/instrument"
-	"repro/internal/interp"
 )
 
 func TestBuiltinResolution(t *testing.T) {
@@ -37,7 +36,7 @@ func main_prog(x double) { if (x < helper(x)) { x = x + 1.0; } }
 		t.Fatal(err)
 	}
 	// Named function.
-	p, err := LoadSource(path, "", "main_prog", interp.DefaultEngine)
+	p, err := LoadSource(path, "", "main_prog")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func main_prog(x double) { if (x < helper(x)) { x = x + 1.0; } }
 		t.Errorf("program %q dim %d", p.Name, p.Dim)
 	}
 	// Default function: the first declared.
-	p2, err := LoadSource(path, "", "", interp.DefaultEngine)
+	p2, err := LoadSource(path, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,22 +54,22 @@ func main_prog(x double) { if (x < helper(x)) { x = x + 1.0; } }
 	// Errors surface with the path.
 	bad := filepath.Join(dir, "bad.fpl")
 	os.WriteFile(bad, []byte("func f(x double) { y = 1.0; }"), 0o644)
-	if _, err := LoadSource(bad, "", "", interp.DefaultEngine); err == nil || !strings.Contains(err.Error(), "bad.fpl") {
+	if _, err := LoadSource(bad, "", ""); err == nil || !strings.Contains(err.Error(), "bad.fpl") {
 		t.Errorf("compile error without path context: %v", err)
 	}
-	if _, err := LoadSource(filepath.Join(dir, "missing.fpl"), "", "", interp.DefaultEngine); err == nil {
+	if _, err := LoadSource(filepath.Join(dir, "missing.fpl"), "", ""); err == nil {
 		t.Error("missing file not reported")
 	}
 }
 
 func TestResolve(t *testing.T) {
-	if _, err := Resolve("fig2", "", "", "", interp.DefaultEngine); err != nil {
+	if _, err := Resolve("fig2", "", "", ""); err != nil {
 		t.Errorf("builtin resolve: %v", err)
 	}
-	if _, err := Resolve("fig2", "x.fpl", "", "", interp.DefaultEngine); err == nil {
+	if _, err := Resolve("fig2", "x.fpl", "", ""); err == nil {
 		t.Error("both sources accepted")
 	}
-	if _, err := Resolve("", "", "", "", interp.DefaultEngine); err == nil {
+	if _, err := Resolve("", "", "", ""); err == nil {
 		t.Error("no source accepted")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/interp"
 	"repro/internal/opt"
 	"repro/internal/sat"
 )
@@ -31,7 +30,6 @@ type SpecFlags struct {
 	fn      string
 	bounds  string
 	path    string
-	engine  string
 	lang    string
 	// Timeout is the -timeout wall-clock budget (0 = none). Context
 	// cancellation lands within one weak-distance evaluation, so the
@@ -50,7 +48,6 @@ func NewSpecFlags(fs *flag.FlagSet, tool string, a analysis.Analysis) *SpecFlags
 	if k.Program {
 		fs.StringVar(&sf.builtin, "builtin", "", "built-in program name ("+strings.Join(BuiltinNames(), ", ")+")")
 		fs.StringVar(&sf.fn, "func", "", "function to analyze (FPL files)")
-		fs.StringVar(&sf.engine, "engine", "", "FPL execution engine: vm or tree (default vm)")
 		fs.StringVar(&sf.lang, "lang", "", "source language: fpl or go (default: by file extension, .go = go)")
 	}
 	fs.Int64Var(&sf.spec.Seed, "seed", def.Seed, "random seed")
@@ -90,13 +87,9 @@ func NewSpecFlags(fs *flag.FlagSet, tool string, a analysis.Analysis) *SpecFlags
 		be = "basinhopping"
 	}
 	fs.StringVar(&sf.spec.Backend, "backend", be, "MO backend ("+strings.Join(opt.BackendNames(), ", ")+")")
-	fs.IntVar(&sf.spec.StallWindow, "stall-window", def.StallWindow,
-		"portfolio plateau window in evaluations (-backend portfolio; 0 = 400 x dim)")
-	fs.Float64Var(&sf.spec.StallRatio, "stall-ratio", def.StallRatio,
-		"portfolio minimum relative best-objective decay per window (-backend portfolio; 0 = 0.01)")
-	fs.IntVar(&sf.spec.Workers, "workers", def.Workers, "parallelism (0 = all CPUs, 1 = serial)")
+	fs.IntVar(&sf.spec.Workers, "workers", def.Workers, "parallelism (0 = all CPUs, at most 256)")
 	fs.IntVar(&sf.spec.Lanes, "lanes", def.Lanes,
-		"batch evaluation width: lane-parallel VM sweep size (0 or 1 = scalar)")
+		"batch evaluation width: lane-parallel VM sweep size (0 or 1 = scalar, at most 256)")
 	fs.DurationVar(&sf.Timeout, "timeout", 0,
 		"wall-clock budget; on expiry the partial report is rendered (0 = none)")
 	return sf
@@ -148,17 +141,12 @@ func (sf *SpecFlags) Resolve(args []string) (analysis.Input, analysis.Spec, erro
 		if len(args) > 0 {
 			file = args[0]
 		}
-		eng, err := interp.ParseEngine(sf.engine)
-		if err != nil {
-			return in, sf.spec, &analysis.SpecError{Field: "engine", Value: sf.engine, Reason: err.Error()}
-		}
-		p, err := Resolve(sf.builtin, file, sf.lang, sf.fn, eng)
+		p, err := Resolve(sf.builtin, file, sf.lang, sf.fn)
 		if err != nil {
 			return in, sf.spec, err
 		}
 		in.Program = p
 		in.SF = SFForBuiltin(sf.builtin)
-		sf.spec.Engine = eng.String()
 		dim = p.Dim
 	}
 

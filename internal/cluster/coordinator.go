@@ -80,6 +80,14 @@ type workerState struct {
 	consecFails atomic.Int64 // consecutive probe failures
 	lastProbe   atomic.Int64 // unixnano of the last probe attempt
 
+	// stateMu orders the alive transitions against gen, which every
+	// piece of death evidence (suspect, a probe-detected death) bumps.
+	// A probe captures gen when it starts and may revive the worker
+	// only if no evidence arrived while it was in flight: an answer
+	// sent before a kill must not overturn the kill.
+	stateMu sync.Mutex
+	gen     int64
+
 	// Routing/attribution counters, surfaced in /stats.
 	inflight   atomic.Int64 // jobs assigned, result not yet delivered
 	routed     atomic.Int64 // jobs ever assigned here
@@ -296,41 +304,61 @@ func (c *Coordinator) probeAll() {
 // refusal). Probes are concurrent, so a slow probe delays nothing but
 // its own worker's verdict.
 func (c *Coordinator) probe(w *workerState) {
+	w.stateMu.Lock()
+	gen := w.gen
+	w.stateMu.Unlock()
 	w.lastProbe.Store(time.Now().UnixNano())
 	ctx, cancel := context.WithTimeout(context.Background(), c.httpTimeout())
 	defer cancel()
 	if err := w.client.Healthz(ctx); err != nil {
 		n := w.consecFails.Add(1)
 		w.probeFails.Add(1)
-		if int(n) >= c.deadAfter() && w.alive.CompareAndSwap(true, false) {
-			w.deaths.Add(1)
-			c.ring.SetAlive(w.name, false)
+		if int(n) >= c.deadAfter() && c.markDead(w) {
 			c.logf("cluster: worker %s marked dead after %d failed probes (%v); requeueing its jobs",
 				w.name, n, err)
 		}
 		return
 	}
 	w.consecFails.Store(0)
-	if w.alive.CompareAndSwap(false, true) {
-		// A restarted worker has an empty program store: forget what we
-		// registered so first routing re-registers lazily.
-		w.regMu.Lock()
-		w.registered = map[string]bool{}
-		w.regMu.Unlock()
-		c.ring.SetAlive(w.name, true)
-		c.logf("cluster: worker %s back in the ring", w.name)
+	w.stateMu.Lock()
+	defer w.stateMu.Unlock()
+	if w.gen != gen || w.alive.Load() {
+		return
 	}
+	w.alive.Store(true)
+	// A restarted worker has an empty program store: forget what we
+	// registered so first routing re-registers lazily.
+	w.regMu.Lock()
+	w.registered = map[string]bool{}
+	w.regMu.Unlock()
+	c.ring.SetAlive(w.name, true)
+	c.logf("cluster: worker %s back in the ring", w.name)
+}
+
+// markDead records death evidence against the worker — bumping its
+// generation, so no probe already in flight can revive it — and takes
+// it out of the ring, reporting whether it was alive.
+func (c *Coordinator) markDead(w *workerState) bool {
+	w.stateMu.Lock()
+	defer w.stateMu.Unlock()
+	w.gen++
+	if !w.alive.Load() {
+		return false
+	}
+	w.alive.Store(false)
+	w.deaths.Add(1)
+	c.ring.SetAlive(w.name, false)
+	return true
 }
 
 // suspect takes a worker out of the ring on direct dispatch evidence —
 // transport failures, a vanished job — without waiting for the probe
 // loop to accumulate failures; requeued jobs route straight to
-// survivors. The next successful probe brings the worker back (and, as
-// with any rejoin, resets its registered-program bookkeeping).
+// survivors. The next probe sent after the evidence that succeeds
+// brings the worker back (and, as with any rejoin, resets its
+// registered-program bookkeeping).
 func (c *Coordinator) suspect(w *workerState, why error) {
-	if w.alive.CompareAndSwap(true, false) {
-		w.deaths.Add(1)
-		c.ring.SetAlive(w.name, false)
+	if c.markDead(w) {
 		c.logf("cluster: worker %s suspected dead (%v); detouring its keys", w.name, why)
 	}
 }

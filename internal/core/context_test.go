@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/opt"
@@ -13,33 +14,22 @@ import (
 // way out before the budget.
 func zeroless(x []float64) float64 { return 1 + x[0]*x[0] }
 
-// TestSolveCancellation: both Solve paths (serial and parallel) stop on
-// a cancelled context and mark the result.
+// TestSolveCancellation: Solve stops on a cancelled context and marks
+// the result, on one worker and on several.
 func TestSolveCancellation(t *testing.T) {
-	prob := core.Problem{
-		Name: "zeroless",
-		Dim:  1,
-		W:    zeroless,
-		NewW: func() core.WeakDistance { return zeroless },
-	}
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
-		p := prob
 		counting := func(x []float64) float64 {
 			if calls.Add(1) == 50 {
 				cancel()
 			}
 			return zeroless(x)
 		}
-		if workers == 1 {
-			p.W = counting
-		} else {
-			// The parallel path builds one objective per start; give it
-			// the shared counter (races don't matter for w=4 — the
-			// assertion there is only prompt termination).
-			p.NewW = func() core.WeakDistance { return counting }
-		}
+		// Every start shares the counter (the assertion is only prompt
+		// termination, so concurrent starts don't matter).
+		p := core.Problem{Name: "zeroless", Dim: 1,
+			NewW: func() core.WeakDistance { return counting }}
 		r := core.Solve(ctx, p, core.Options{
 			Seed: 1, Starts: 1000, EvalsPerStart: 1_000_000,
 			Bounds:  []opt.Bound{{Lo: -10, Hi: 10}},
@@ -55,21 +45,22 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// TestSolveCancellationSerialOneEval pins the serial path to the
+// TestSolveCancellationSerialOneEval pins one-worker solving to the
 // one-evaluation contract end to end through core.Solve.
 func TestSolveCancellationSerialOneEval(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls := 0
+	w := func(x []float64) float64 {
+		calls++
+		if calls == 70 {
+			cancel()
+		}
+		return zeroless(x)
+	}
 	r := core.Solve(ctx, core.Problem{
 		Name: "zeroless", Dim: 1,
-		W: func(x []float64) float64 {
-			calls++
-			if calls == 70 {
-				cancel()
-			}
-			return zeroless(x)
-		},
+		NewW: func() core.WeakDistance { return w },
 	}, core.Options{
 		Seed: 1, Starts: 100, EvalsPerStart: 1_000_000,
 		Bounds:  []opt.Bound{{Lo: -10, Hi: 10}},
@@ -80,5 +71,27 @@ func TestSolveCancellationSerialOneEval(t *testing.T) {
 	}
 	if !r.Canceled || r.Evals != calls {
 		t.Errorf("result bookkeeping: calls=%d %+v", calls, r)
+	}
+}
+
+// TestSolveHugeStartsCanceledPromptly: a starts count far past what one
+// schedule could hold in memory runs chunk by chunk until its deadline,
+// then returns Canceled.
+func TestSolveHugeStartsCanceledPromptly(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	r := core.Solve(ctx, core.Problem{Name: "zeroless", Dim: 1,
+		NewW: func() core.WeakDistance { return zeroless },
+	}, core.Options{
+		Seed: 1, Starts: 200_000_000, EvalsPerStart: 100,
+		Bounds:  []opt.Bound{{Lo: -10, Hi: 10}},
+		Workers: 2,
+	})
+	if !r.Canceled || r.Found {
+		t.Errorf("want a canceled, unsolved result: %+v", r)
+	}
+	if d := time.Since(t0); d > 5*time.Second {
+		t.Errorf("Solve returned %v after a 100ms deadline", d)
 	}
 }

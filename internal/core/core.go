@@ -36,21 +36,18 @@ type Problem struct {
 	Name string
 	// Dim is N, the input arity (dom(Prog) = F^N).
 	Dim int
-	// W is the weak distance constructed for the problem (Algorithm 2
-	// step 1).
-	W WeakDistance
 	// Member, when non-nil, decides x ∈ S by concrete execution. It is
 	// the soundness guard of §5.2: a zero of W whose membership check
 	// fails is rejected instead of being reported as a spurious
-	// solution. Under parallel solving Member calls are serialized by
-	// the multi-start driver, but Member must still be safe to run
-	// while weak-distance instances execute on other goroutines —
-	// construct it over its own program instance.
+	// solution. Member calls are serialized by the multi-start driver,
+	// but Member must still be safe to run while weak-distance
+	// instances execute on other goroutines — construct it over its own
+	// program instance.
 	Member func(x []float64) bool
-	// NewW, when non-nil, returns an independent weak-distance instance
-	// (own monitor, own program instance) for one start. It is required
-	// for parallel solving: the shared W is used by at most one
-	// goroutine at a time only in the serial path.
+	// NewW returns an independent instance of the weak distance
+	// constructed for the problem (Algorithm 2 step 1): own monitor,
+	// own program instance. Solve calls it once per executed start,
+	// from the goroutine that runs the start.
 	NewW func() WeakDistance
 	// NewBatchW, when non-nil, returns an independent batch evaluator of
 	// the same weak distance: Eval(xs, out) must write W(xs[i]) to
@@ -74,13 +71,9 @@ type Options struct {
 	Seed int64
 	// Bounds optionally restricts the search space per dimension.
 	Bounds []opt.Bound
-	// Trace records every W evaluation across all restarts. A non-nil
-	// Trace forces the serial path (the shared trace is not
-	// synchronized).
-	Trace *opt.Trace
 	// Workers sets the multi-start parallelism: 0 selects
-	// runtime.NumCPU(), 1 forces the serial loop. Results are identical
-	// for every value — parallelism only changes wall-clock time.
+	// runtime.NumCPU(), 1 runs one worker. Results are identical for
+	// every value — parallelism only changes wall-clock time.
 	Workers int
 	// Lanes sets the batch evaluation width: backends with natural lane
 	// fillers submit candidate batches that the weak distance evaluates
@@ -194,9 +187,21 @@ func (r Result) String() string {
 	return fmt.Sprintf("not found (min W=%.6g, %d evals, %d restarts, %d rejected)", r.W, r.Evals, r.Restarts, r.Rejected)
 }
 
+// startChunk is the most starts Solve hands opt.ParallelStarts at a
+// time. ParallelStarts allocates a result slot per start up front, so a
+// chunk bounds that memory (a few hundred KiB) however many starts a
+// caller asks for; it sits far above every default schedule (8 to 64
+// starts), which therefore runs as one chunk.
+const startChunk = 4096
+
 // Solve runs Algorithm 2 (weak-distance minimization) on the problem:
 // minimize W from multiple random starts; return the first sampled exact
 // zero, or "not found" when the budget expires with a positive minimum.
+//
+// The restarts run on opt.ParallelStarts, in chunks of at most
+// startChunk, and fold in start order, stopping at the first
+// membership-accepted zero — so the Result is identical for every
+// worker count.
 //
 // The context cancels the whole search cooperatively, at objective-
 // evaluation granularity (opt.Config.Ctx): when ctx fires, the result
@@ -211,97 +216,6 @@ func Solve(ctx context.Context, p Problem, o Options) Result {
 	if p.Dim < 1 {
 		return Result{W: math.Inf(1)}
 	}
-	if o.Workers != 1 && p.NewW != nil && o.Trace == nil {
-		return solveParallel(ctx, p, o)
-	}
-	backend := o.backend()
-	res := Result{W: math.Inf(1)}
-
-	// One batch evaluator serves every start of the serial loop: starts
-	// run strictly one after another, so the single-goroutine contract
-	// holds, and the instance's monitors are reset per sweep anyway.
-	var batch opt.BatchObjective
-	if o.Lanes > 1 && p.NewBatchW != nil {
-		batch = p.NewBatchW(o.Lanes)
-	}
-
-	budget := o.evalsPerStart(p.Dim)
-	// run executes start s and folds it, reporting whether the search is
-	// decided (solution in hand, or cancelled).
-	run := func(s int) bool {
-		if err := ctx.Err(); err != nil {
-			res.Canceled = true
-			return true
-		}
-		cfg := opt.Config{
-			Seed:       o.Seed + int64(s)*1000003,
-			MaxEvals:   budget,
-			Bounds:     o.Bounds,
-			StopAtZero: true,
-			Trace:      o.Trace,
-			Ctx:        ctx,
-			Batch:      batch,
-		}
-		r := backend.Minimize(opt.Objective(p.W), p.Dim, cfg)
-		res.Evals += r.Evals
-		res.Restarts++
-		res.Stages = mergeStages(res.Stages, r.Stages)
-		if r.F < res.W {
-			res.W = r.F
-		}
-		// A start can both sample a zero and observe cancellation (the
-		// deadline fires between the zero and the next done() check):
-		// the zero wins — discarding a solution in hand would turn a
-		// decided problem into "not found".
-		if r.FoundZero {
-			// Soundness guard (§5.2): confirm membership by concrete
-			// execution when an oracle is available.
-			if p.Member != nil && !p.Member(r.X) {
-				res.Rejected++
-			} else {
-				res.Found = true
-				res.X = r.X
-				res.W = 0
-				return true
-			}
-		}
-		if r.Canceled {
-			res.Canceled = true
-			return true
-		}
-		// The start finished undecided without exhausting its budget
-		// (portfolio early exit, converged local search, rejected zero):
-		// the leftover is reclaimable.
-		if r.Evals < budget {
-			res.Reclaimed += budget - r.Evals
-		}
-		return false
-	}
-	for s := 0; s < o.starts(); s++ {
-		if run(s) {
-			return res
-		}
-	}
-	// Budget reallocation: every evaluation a start returned unused
-	// (portfolio early exit, converged local search) funds extra
-	// restarts for the still-unsolved problem — one bonus round, seeds
-	// continuing the same derivation, so the outcome is a pure function
-	// of the options. Backends that always exhaust their budget reclaim
-	// nothing and keep the historical schedule exactly.
-	for j, k := 0, bonusStarts(res.Reclaimed, budget, o.starts()); j < k; j++ {
-		res.BonusStarts++
-		if run(o.starts() + j) {
-			return res
-		}
-	}
-	return res
-}
-
-// solveParallel distributes the restarts of Algorithm 2 over a worker
-// pool and folds the per-start results in start order, stopping at the
-// first membership-accepted zero — exactly the serial loop's semantics,
-// so Solve returns identical Results for every worker count.
-func solveParallel(ctx context.Context, p Problem, o Options) Result {
 	// Each executed start gets its own batch evaluator, constructed in
 	// the worker goroutine that runs it — same per-start isolation as
 	// the scalar NewW instances.
@@ -332,9 +246,9 @@ func solveParallel(ctx context.Context, p Problem, o Options) Result {
 	}
 
 	res := Result{W: math.Inf(1)}
-	// fold merges one scheduled batch in start order — exactly the
-	// serial loop's bookkeeping, including the reclaimed-budget
-	// accounting — and reports whether the search is decided.
+	// fold merges one chunk of starts in start order, including the
+	// reclaimed-budget accounting, and reports whether the search is
+	// decided (solution in hand, or cancelled).
 	fold := func(starts []opt.StartResult, bonus bool) bool {
 		for _, sr := range starts {
 			res.Evals += sr.Evals
@@ -348,8 +262,10 @@ func solveParallel(ctx context.Context, p Problem, o Options) Result {
 					res.W = sr.F
 				}
 			}
-			// As in the serial loop: a start holding an accepted zero wins
-			// over its (simultaneous) cancellation flag.
+			// A start can both sample a zero and observe cancellation
+			// (the deadline fires between the zero and the next done()
+			// check): the zero wins — discarding a solution in hand would
+			// turn a decided problem into "not found".
 			if sr.FoundZero {
 				if sr.ZeroAccepted {
 					res.Found = true
@@ -365,21 +281,36 @@ func solveParallel(ctx context.Context, p Problem, o Options) Result {
 				res.Canceled = true
 				return true
 			}
+			// The start finished undecided without exhausting its budget
+			// (portfolio early exit, converged local search, rejected
+			// zero): the leftover is reclaimable.
 			if sr.Evals < budget && !sr.Skipped {
 				res.Reclaimed += budget - sr.Evals
 			}
 		}
 		return false
 	}
-	if fold(launch(o.starts(), o.Seed), false) {
+	// run schedules starts [first, first+n) chunk by chunk, seeds
+	// following one per-start derivation, and reports whether the
+	// search is decided.
+	run := func(first, n int, bonus bool) bool {
+		for base := 0; base < n; base += startChunk {
+			k := min(n-base, startChunk)
+			if fold(launch(k, o.Seed+int64(first+base)*1000003), bonus) {
+				return true
+			}
+		}
+		return false
+	}
+	if run(0, o.starts(), false) {
 		return res
 	}
-	// Budget reallocation, as in the serial loop: one bonus round funded
-	// by the reclaimed evaluations, seeds continuing the same per-start
-	// derivation — so the result is identical to the serial path and to
-	// every other worker count.
-	if k := bonusStarts(res.Reclaimed, budget, o.starts()); k > 0 {
-		fold(launch(k, o.Seed+int64(o.starts())*1000003), true)
-	}
+	// Budget reallocation: every evaluation a start returned unused
+	// (portfolio early exit, converged local search) funds extra
+	// restarts for the still-unsolved problem — one bonus round, seeds
+	// continuing the same derivation, so the outcome is a pure function
+	// of the options. Backends that always exhaust their budget reclaim
+	// nothing and keep the schedule exactly.
+	run(o.starts(), bonusStarts(res.Reclaimed, budget, o.starts()), true)
 	return res
 }

@@ -14,12 +14,11 @@ import (
 
 func TestSolveBoundaryFig2(t *testing.T) {
 	p := progs.Fig2()
-	mon := &instrument.Boundary{}
 	wit := &instrument.BoundaryWitness{}
 	prob := core.Problem{
 		Name: "fig2-boundary",
 		Dim:  1,
-		W:    p.WeakDistance(mon),
+		NewW: func() core.WeakDistance { return p.WeakDistance(&instrument.Boundary{}) },
 		Member: func(x []float64) bool {
 			p.Execute(wit, x)
 			return len(wit.Sites()) > 0
@@ -29,18 +28,20 @@ func TestSolveBoundaryFig2(t *testing.T) {
 	if !r.Found {
 		t.Fatalf("boundary problem unsolved: %v", r)
 	}
-	if got := prob.W(r.X); got != 0 {
+	if got := prob.NewW()(r.X); got != 0 {
 		t.Errorf("returned point has W = %v", got)
 	}
 }
 
 func TestSolvePathFig2(t *testing.T) {
 	p := progs.Fig2()
-	mon := &instrument.Path{Target: []instrument.Decision{
+	target := []instrument.Decision{
 		{Site: progs.Fig2BranchX, Taken: true},
 		{Site: progs.Fig2BranchY, Taken: true},
+	}
+	prob := core.Problem{Name: "fig2-path", Dim: 1, NewW: func() core.WeakDistance {
+		return p.WeakDistance(&instrument.Path{Target: target})
 	}}
-	prob := core.Problem{Name: "fig2-path", Dim: 1, W: p.WeakDistance(mon)}
 	r := core.Solve(context.Background(), prob, core.Options{Seed: 2, Bounds: []opt.Bound{{Lo: -1000, Hi: 1000}}})
 	if !r.Found {
 		t.Fatalf("path problem unsolved: %v", r)
@@ -56,7 +57,7 @@ func TestSolveReportsNotFoundOnEmptyS(t *testing.T) {
 	prob := core.Problem{
 		Name: "empty",
 		Dim:  1,
-		W:    func(x []float64) float64 { return math.Abs(x[0]) + 1 },
+		NewW: func() core.WeakDistance { return func(x []float64) float64 { return math.Abs(x[0]) + 1 } },
 	}
 	r := core.Solve(context.Background(), prob, core.Options{
 		Seed: 3, Starts: 2, EvalsPerStart: 2000,
@@ -81,7 +82,7 @@ func TestSolveMembershipGuardRejectsSpuriousZeros(t *testing.T) {
 	prob := core.Problem{
 		Name: "eqzero-naive",
 		Dim:  1,
-		W:    func(x []float64) float64 { return x[0] * x[0] },
+		NewW: func() core.WeakDistance { return func(x []float64) float64 { return x[0] * x[0] } },
 		Member: func(x []float64) bool {
 			return x[0] == 0
 		},
@@ -100,7 +101,7 @@ func TestSolveMembershipGuardRejectsSpuriousZeros(t *testing.T) {
 }
 
 func TestSolveZeroDimension(t *testing.T) {
-	r := core.Solve(context.Background(), core.Problem{Name: "bad", Dim: 0, W: func([]float64) float64 { return 1 }}, core.Options{})
+	r := core.Solve(context.Background(), core.Problem{Name: "bad", Dim: 0}, core.Options{})
 	if r.Found {
 		t.Error("zero-dimension problem cannot be solved")
 	}
@@ -111,7 +112,7 @@ func TestSolveDeterministic(t *testing.T) {
 	mk := func() core.Result {
 		return core.Solve(context.Background(), core.Problem{
 			Name: "det", Dim: 1,
-			W: p.WeakDistance(&instrument.Boundary{}),
+			NewW: func() core.WeakDistance { return p.WeakDistance(&instrument.Boundary{}) },
 		}, core.Options{Seed: 9, Starts: 2, EvalsPerStart: 4000, Bounds: []opt.Bound{{Lo: -50, Hi: 50}}})
 	}
 	a, b := mk(), mk()
@@ -120,26 +121,6 @@ func TestSolveDeterministic(t *testing.T) {
 	}
 	if a.Found && a.X[0] != b.X[0] {
 		t.Errorf("solutions differ: %v vs %v", a.X, b.X)
-	}
-}
-
-func TestSolveTraceAccumulatesAcrossRestarts(t *testing.T) {
-	tr := &opt.Trace{Cap: 10}
-	prob := core.Problem{
-		Name: "trace", Dim: 1,
-		W: func(x []float64) float64 { return math.Abs(x[0]) + 1 },
-	}
-	r := core.Solve(context.Background(), prob, core.Options{
-		Seed: 5, Starts: 3, EvalsPerStart: 100,
-		Backend: &opt.RandomSearch{},
-		Bounds:  []opt.Bound{{Lo: -1, Hi: 1}},
-		Trace:   tr,
-	})
-	if tr.Len() != r.Evals {
-		t.Errorf("trace %d evals, result says %d", tr.Len(), r.Evals)
-	}
-	if r.Evals != 300 {
-		t.Errorf("evals = %d, want 3 restarts x 100", r.Evals)
 	}
 }
 

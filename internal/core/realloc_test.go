@@ -20,7 +20,6 @@ func TestSolveReallocatesReclaimedBudget(t *testing.T) {
 	prob := core.Problem{
 		Name: "no-zero",
 		Dim:  1,
-		W:    w,
 		NewW: func() core.WeakDistance { return w },
 	}
 	run := func(workers int) core.Result {
@@ -51,7 +50,7 @@ func TestSolveReallocatesReclaimedBudget(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4} {
 		if got := run(workers); !reflect.DeepEqual(r, got) {
-			t.Errorf("workers=%d diverged from serial:\n%+v\n%+v", workers, r, got)
+			t.Errorf("workers=%d diverged from workers=1:\n%+v\n%+v", workers, r, got)
 		}
 	}
 }
@@ -63,7 +62,7 @@ func TestSolveNoReallocForExhaustingBackend(t *testing.T) {
 	prob := core.Problem{
 		Name: "no-zero",
 		Dim:  1,
-		W:    func(x []float64) float64 { return math.Abs(x[0]) + 1 },
+		NewW: func() core.WeakDistance { return func(x []float64) float64 { return math.Abs(x[0]) + 1 } },
 	}
 	r := core.Solve(context.Background(), prob, core.Options{
 		Starts: 2, EvalsPerStart: 2000, Seed: 4,
@@ -95,7 +94,7 @@ func TestSolveBonusStartCanSolve(t *testing.T) {
 		}
 		return math.Abs(x[0])/100 + 1
 	}
-	prob := core.Problem{Name: "pocket", Dim: 1, W: w,
+	prob := core.Problem{Name: "pocket", Dim: 1,
 		NewW: func() core.WeakDistance { return w }}
 	opts := core.Options{
 		Backend:       &opt.Portfolio{StallWindow: 50},
@@ -123,5 +122,27 @@ func TestSolveBonusStartCanSolve(t *testing.T) {
 		}); !reflect.DeepEqual(r, got) {
 			t.Errorf("workers=%d diverged:\n%+v\n%+v", workers, r, got)
 		}
+	}
+}
+
+// TestSolveChunkedScheduleCountsEveryStart: a schedule longer than one
+// chunk still runs every start, with the same result for every worker
+// count.
+func TestSolveChunkedScheduleCountsEveryStart(t *testing.T) {
+	w := func(x []float64) float64 { return math.Abs(x[0]) + 1 }
+	prob := core.Problem{Name: "no-zero", Dim: 1,
+		NewW: func() core.WeakDistance { return w }}
+	run := func(workers int) core.Result {
+		return core.Solve(context.Background(), prob, core.Options{
+			Backend: &opt.RandomSearch{}, Starts: 5000, EvalsPerStart: 3, Seed: 2,
+			Bounds: []opt.Bound{{Lo: -10, Hi: 10}}, Workers: workers,
+		})
+	}
+	r := run(1)
+	if r.Restarts != 5000 || r.Evals != 5000*3 {
+		t.Errorf("Restarts = %d, Evals = %d, want 5000 and 15000", r.Restarts, r.Evals)
+	}
+	if got := run(3); !reflect.DeepEqual(r, got) {
+		t.Errorf("workers=3 diverged from workers=1:\n%+v\n%+v", r, got)
 	}
 }

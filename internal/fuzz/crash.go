@@ -201,9 +201,26 @@ func RunCrash(o CrashOptions) *CrashResult {
 		}
 	}
 
+	// floor is the end of the first job record (a batch's submit): a
+	// shorter prefix recovers no job and so compares nothing. The first
+	// round always cuts at or past it, so every campaign recovers a job;
+	// under Tamper every round does, so the self-test always compares a
+	// tampered expectation.
+	floor := 0
+	recs, ends := journal.Frames(logBytes)
+	for i, rec := range recs {
+		if rec.Job != "" {
+			floor = int(ends[i])
+			break
+		}
+	}
 	rng := rand.New(rand.NewSource(o.Seed ^ 0x6372617368)) // "crash"
 	for r := 0; r < o.rounds(); r++ {
-		off := 1 + rng.Intn(len(logBytes))
+		lo := 1
+		if r == 0 || o.Tamper {
+			lo = max(floor, 1)
+		}
+		off := lo + rng.Intn(len(logBytes)-lo+1)
 		res.Rounds++
 		res.Violations = append(res.Violations,
 			o.recoverRound(dir, r, logBytes[:off], expect, res)...)

@@ -1,10 +1,12 @@
 package lift_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/compile"
 	"repro/internal/fplgen"
 	"repro/internal/gofront"
@@ -151,6 +153,31 @@ func TestBug1Reproduces(t *testing.T) {
 	}
 	if !math.IsInf(got, 1) {
 		t.Fatalf("lifted airyModPhaseModErr(%v) = %g, want +Inf", lift.Bug1Input, got)
+	}
+}
+
+// TestLiftedOverflowFindsSites runs Algorithm 3 over the lifted Bessel
+// and hyperg entry points (the programs `fpanalyze overflow -lang go`
+// analyzes over the `fpanalyze gslcorpus` output): each must overflow
+// at least one operation site, as its curated port does in Table 3.
+func TestLiftedOverflowFindsSites(t *testing.T) {
+	mod, err := gofront.Compile("gsl_lift.go", lift.CombinedSource())
+	if err != nil {
+		t.Fatalf("lift: %v", err)
+	}
+	it := interp.New(mod)
+	for i, fn := range []string{"besselKnuScaledAsympxVal", "hyperg2F0Val"} {
+		p, err := it.Program(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := analysis.DetectOverflows(context.Background(), p, analysis.OverflowOptions{
+			Seed:          5 + int64(i)*1_000_003,
+			EvalsPerRound: 1200,
+		})
+		if len(rep.Findings) == 0 {
+			t.Errorf("lifted %s: no overflow found (%d rounds, %d evaluations)", fn, rep.Rounds, rep.Evals)
+		}
 	}
 }
 

@@ -52,19 +52,7 @@ const (
 	EngineTree
 )
 
-// ParseEngine resolves an engine name ("vm" or "tree"), for -engine
-// style command-line flags.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", "vm", "compiled":
-		return EngineVM, nil
-	case "tree", "walker", "interp":
-		return EngineTree, nil
-	}
-	return EngineVM, fmt.Errorf("unknown engine %q (want vm or tree)", name)
-}
-
-// String returns the flag spelling of the engine.
+// String names the engine in test and benchmark output.
 func (e Engine) String() string {
 	if e == EngineTree {
 		return "tree"
@@ -72,10 +60,10 @@ func (e Engine) String() string {
 	return "vm"
 }
 
-// DefaultEngine is the engine New installs on fresh interpreters. Tools
-// expose it via -engine flags for A/B timing; tests pin it per Interp
-// instead.
-var DefaultEngine = EngineVM
+// DefaultEngine is the engine New installs on fresh interpreters. The
+// tree-walker is a test oracle: tests and the differential harnesses
+// select it per Interp.
+const DefaultEngine = EngineVM
 
 // Interp drives interpretation of one module.
 type Interp struct {

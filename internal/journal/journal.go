@@ -195,10 +195,9 @@ func Open(dir string, o Options) (*Journal, BootInfo, error) {
 	return j, info, nil
 }
 
-// readAll decodes every whole frame of path, returning the records and
-// the byte offset of the end of the last good frame. A missing file is
-// an empty log. Decoding stops — without error — at the first torn or
-// corrupt frame: everything after a bad CRC is untrusted.
+// readAll decodes every whole frame of path (see Frames), returning the
+// records and the byte offset of the end of the last good frame. A
+// missing file is an empty log.
 func readAll(path string) ([]Record, int64, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -207,15 +206,27 @@ func readAll(path string) ([]Record, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	var recs []Record
+	recs, ends := Frames(data)
+	if len(ends) == 0 {
+		return recs, 0, nil
+	}
+	return recs, ends[len(ends)-1], nil
+}
+
+// Frames decodes the whole frames at the start of log bytes b,
+// returning each record and the offset just past it. Decoding stops —
+// without error — at the first torn or corrupt frame: everything after
+// a bad CRC is untrusted.
+func Frames(b []byte) (recs []Record, ends []int64) {
 	var off int64
 	for {
-		rec, n, ok := decodeFrame(data[off:])
+		rec, n, ok := decodeFrame(b[off:])
 		if !ok {
-			return recs, off, nil
+			return recs, ends
 		}
-		recs = append(recs, rec)
 		off += n
+		recs = append(recs, rec)
+		ends = append(ends, off)
 	}
 }
 

@@ -137,8 +137,6 @@ func (c *countedMinimizer) Name() string { return c.m.Name() }
 
 // Unwrap exposes the undecorated backend (e.g. for clients configuring
 // Portfolio knobs on a BackendByName result).
-func (c *countedMinimizer) Unwrap() Minimizer { return c.m }
-
 func (c *countedMinimizer) Minimize(obj Objective, dim int, cfg Config) Result {
 	r := c.m.Minimize(obj, dim, cfg)
 	recordBackendEvals(c.name, r)
@@ -154,21 +152,4 @@ func (c *countedLocalMinimizer) MinimizeFrom(obj Objective, x0 []float64, cfg Co
 	r := c.lm.MinimizeFrom(obj, x0, cfg)
 	recordBackendEvals(c.name, r)
 	return r
-}
-
-// AsPortfolio unwraps any decorator chain and reports whether the
-// minimizer is (or wraps) the portfolio scheduler, returning it for
-// configuration.
-func AsPortfolio(m Minimizer) (*Portfolio, bool) {
-	for m != nil {
-		if p, ok := m.(*Portfolio); ok {
-			return p, true
-		}
-		u, ok := m.(interface{ Unwrap() Minimizer })
-		if !ok {
-			return nil, false
-		}
-		m = u.Unwrap()
-	}
-	return nil, false
 }

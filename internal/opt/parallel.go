@@ -25,7 +25,7 @@ type ParallelConfig struct {
 	// same per-start derivation the serial multi-start loops used.
 	Seed int64
 	// SeedStride is the per-start seed increment; zero selects 1000003
-	// (the stride of core.Solve's historical serial loop).
+	// (core.Solve's stride).
 	SeedStride int64
 	// MaxEvals bounds objective evaluations per start (0 = backend
 	// default).

@@ -97,56 +97,31 @@ type GSLStudyResult struct {
 	Inconsistencies map[string][]analysis.Inconsistency
 	// BugReplays maps File to the manifested known bugs.
 	BugReplays map[string][]KnownBug
-	// Lifted marks a study over the Go-frontend-lifted corpus
-	// (paperrepro -lifted); Table 4 then renders the frontend's
-	// file:line:col op labels instead of the curated Bessel table.
-	Lifted bool
-	// opLabels holds each benchmark program's op-site labels indexed by
-	// site, for the lifted Table 4 rendering.
-	opLabels map[string][]string
 }
 
-// GSLStudy runs the full §6.3 pipeline: Algorithm 3 per benchmark,
-// inconsistency replay of every generated input, and confirmed-bug
-// replay. Minimization rounds and replays run on all CPUs;
-// GSLStudyWorkers takes an explicit worker count.
-func GSLStudy(seed int64, evalsPerRound int) *GSLStudyResult {
-	return GSLStudyWorkers(seed, evalsPerRound, 0)
-}
-
-// GSLStudyWorkers is GSLStudy with an explicit worker count (0 = all
-// CPUs, 1 = serial); the result is identical for every value.
+// GSLStudyWorkers runs the full §6.3 pipeline: Algorithm 3 per
+// benchmark, inconsistency replay of every generated input, and
+// confirmed-bug replay. Minimization rounds run on workers goroutines
+// (0 = all CPUs); the result is identical for every value.
 func GSLStudyWorkers(seed int64, evalsPerRound, workers int) *GSLStudyResult {
-	return gslStudyOver(GSLBenchmarks(), seed, evalsPerRound, workers)
-}
-
-// gslStudyOver is the study core, shared by the curated benchmarks and
-// the lifted-corpus variant.
-func gslStudyOver(benchmarks []GSLBenchmark, seed int64, evalsPerRound, workers int) *GSLStudyResult {
 	res := &GSLStudyResult{
 		OverflowReports: map[string]*analysis.OverflowReport{},
 		Inconsistencies: map[string][]analysis.Inconsistency{},
 		BugReplays:      map[string][]KnownBug{},
-		opLabels:        map[string][]string{},
 	}
-	for bi, b := range benchmarks {
+	for bi, b := range GSLBenchmarks() {
 		rep := analysis.DetectOverflows(context.Background(), b.Program, analysis.OverflowOptions{
 			Seed:          seed + int64(bi)*1_000_003,
 			EvalsPerRound: evalsPerRound,
 			Workers:       workers,
 		})
 		res.OverflowReports[b.File] = rep
-		labels := make([]string, len(b.Program.Ops))
-		for _, op := range b.Program.Ops {
-			labels[op.ID] = op.Label
-		}
-		res.opLabels[b.File] = labels
 
 		var inputs [][]float64
 		for _, f := range rep.Findings {
 			inputs = append(inputs, f.Input)
 		}
-		incs := analysis.CheckInconsistenciesWorkers(b.Eval, inputs, workers)
+		incs := analysis.CheckInconsistencies(b.Eval, inputs)
 		res.Inconsistencies[b.File] = incs
 
 		var bugs []KnownBug
@@ -192,27 +167,6 @@ func (g *GSLStudyResult) FormatTable4() string {
 	bySite := map[int]analysis.OverflowFinding{}
 	for _, f := range rep.Findings {
 		bySite[f.Site] = f
-	}
-	if g.Lifted {
-		// The lifted program's op sites carry the frontend's
-		// file:line:col labels, and the site space is module-wide (the
-		// whole combined corpus), so render only the detections plus a
-		// missed summary instead of the curated per-operation table.
-		labels := g.opLabels["bessel"]
-		var sb strings.Builder
-		sb.WriteString("Table 4. Floating-point overflow detected in Bessel (lifted corpus).\n")
-		sb.WriteString(fmt.Sprintf("%-72s %s\n", "Floating-point operation", "nu*, x*"))
-		for _, f := range rep.Findings {
-			label := f.Label
-			if label == "" && f.Site < len(labels) {
-				label = labels[f.Site]
-			}
-			sb.WriteString(fmt.Sprintf("%-72s %.2g, %.2g\n", label, f.Input[0], f.Input[1]))
-		}
-		sb.WriteString(fmt.Sprintf("found %d operations; %d of %d module sites without a detected overflow (unreachable from the entry, or incompleteness)\n",
-			len(rep.Findings), len(rep.Missed), rep.Ops))
-		sb.WriteString(fmt.Sprintf("(%d rounds, %d evaluations)\n", rep.Rounds, rep.Evals))
-		return sb.String()
 	}
 	var sb strings.Builder
 	sb.WriteString("Table 4. Floating-point overflow detected in Bessel.\n")

@@ -118,7 +118,7 @@ func TestFig7AblationShape(t *testing.T) {
 }
 
 func TestSinStudyShape(t *testing.T) {
-	s := SinBoundaryStudy(4, 48, 4000)
+	s := SinBoundaryStudyWorkers(4, 48, 4000, 0)
 	// All 8 reachable conditions, none on the unreachable branch.
 	reached := 0
 	for site := 0; site < 4; site++ {
@@ -144,7 +144,7 @@ func TestSinStudyShape(t *testing.T) {
 }
 
 func TestGSLStudyShape(t *testing.T) {
-	res := GSLStudy(5, 6000)
+	res := GSLStudyWorkers(5, 6000, 0)
 	if len(res.Rows) != 3 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -193,58 +193,5 @@ func TestGSLStudyShape(t *testing.T) {
 	}
 	if !strings.Contains(res.FormatTable5(), "Confirmed-bug replays") {
 		t.Error("table 5 rendering")
-	}
-}
-
-func TestGSLLiftedStudyShape(t *testing.T) {
-	bs, err := GSLLiftedBenchmarks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bs) != 3 {
-		t.Fatalf("%d lifted benchmarks", len(bs))
-	}
-	curated := GSLBenchmarks()
-	for i, b := range bs {
-		if b.Program.Dim != curated[i].Program.Dim {
-			t.Errorf("%s: lifted dim %d, curated %d", b.File, b.Program.Dim, curated[i].Program.Dim)
-		}
-		if !strings.Contains(b.Function, "(lifted)") {
-			t.Errorf("%s: function %q not marked lifted", b.File, b.Function)
-		}
-		if len(b.Program.Ops) == 0 || len(b.Program.Branches) == 0 {
-			t.Errorf("%s: lifted program has %d ops, %d branches",
-				b.File, len(b.Program.Ops), len(b.Program.Branches))
-		}
-	}
-	if err := VerifyLiftedBug1(); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := GSLStudyLiftedWorkers(5, 1200, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Lifted || len(res.Rows) != 3 {
-		t.Fatalf("lifted study shape: lifted=%v rows=%d", res.Lifted, len(res.Rows))
-	}
-	byFile := map[string]Table3Row{}
-	for _, r := range res.Rows {
-		byFile[r.File] = r
-	}
-	if b := byFile["bessel"]; b.Overflows == 0 {
-		t.Error("lifted bessel found no overflows")
-	}
-	if h := byFile["hyperg"]; h.Overflows == 0 {
-		t.Error("lifted hyperg found no overflows")
-	}
-	// The known bugs replay against the shared native evaluator exactly
-	// as in the curated study.
-	if a := byFile["airy"]; a.Bugs != 2 {
-		t.Errorf("lifted airy |B| = %d, want 2", a.Bugs)
-	}
-	t4 := res.FormatTable4()
-	if !strings.Contains(t4, "lifted corpus") || !strings.Contains(t4, "gsl_lift.go:") {
-		t.Errorf("lifted table 4 rendering:\n%s", t4)
 	}
 }

@@ -15,19 +15,12 @@ type SinStudy struct {
 	Report *analysis.BoundaryReport
 }
 
-// SinBoundaryStudy runs boundary value analysis on the glibc-2.19 sin
-// port. starts/evals control the search effort (the paper used 6.4M
-// samples; the defaults here reach all 8 reachable conditions far
-// cheaper because the integer dispatch key gives a clean gradient).
-// Restarts run on all CPUs; SinBoundaryStudyWorkers takes an explicit
-// worker count.
-func SinBoundaryStudy(seed int64, starts, evals int) *SinStudy {
-	return SinBoundaryStudyWorkers(seed, starts, evals, 0)
-}
-
-// SinBoundaryStudyWorkers is SinBoundaryStudy with an explicit
-// multi-start worker count (0 = all CPUs, 1 = serial); the report is
-// identical for every value.
+// SinBoundaryStudyWorkers runs boundary value analysis on the
+// glibc-2.19 sin port. starts/evals control the search effort (0 = 64
+// starts of 4000 evaluations; the paper used 6.4M samples, and these
+// defaults reach all 8 reachable conditions far cheaper because the
+// integer dispatch key gives a clean gradient). Restarts run on workers
+// goroutines (0 = all CPUs); the report is identical for every value.
 func SinBoundaryStudyWorkers(seed int64, starts, evals, workers int) *SinStudy {
 	if starts <= 0 {
 		starts = 64

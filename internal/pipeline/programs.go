@@ -151,9 +151,9 @@ func (ps *ProgramStore) Lookup(id string) (ProgramInfo, string, bool) {
 	return rp.info, rp.source, true
 }
 
-// Delete evicts a registered program and its cached modules (under
-// every engine). In-flight jobs keep their program instances; only the
-// registration and the cache slots go away.
+// Delete evicts a registered program and its cached module. In-flight
+// jobs keep their program instances; only the registration and the
+// cache slot go away.
 func (ps *ProgramStore) Delete(id string) bool {
 	ps.mu.Lock()
 	rp, ok := ps.byID[id]
@@ -163,9 +163,7 @@ func (ps *ProgramStore) Delete(id string) bool {
 		return false
 	}
 	lg, _ := gofront.ParseLang(rp.info.Lang)
-	for _, eng := range []interp.Engine{interp.EngineVM, interp.EngineTree} {
-		ps.cache.Drop(lg, rp.source, eng)
-	}
+	ps.cache.Drop(lg, rp.source, interp.DefaultEngine)
 	return true
 }
 

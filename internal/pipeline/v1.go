@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/gofront"
-	"repro/internal/interp"
 	"repro/internal/opt"
 	"repro/internal/sat"
 )
@@ -262,11 +261,7 @@ func (s *Server) resolveJobs(v1jobs []V1Job) ([]Job, []*analysis.SpecError) {
 		if _, err := opt.BroadcastBounds(vj.Spec.Bounds, len(vj.Spec.Bounds)); err != nil {
 			errs = append(errs, &analysis.SpecError{Field: loc(i, "spec.bounds"), Reason: err.Error()})
 		}
-		if _, err := interp.ParseEngine(vj.Spec.Engine); err != nil {
-			errs = append(errs, &analysis.SpecError{Field: loc(i, "spec.engine"),
-				Value: vj.Spec.Engine, Reason: err.Error()})
-		}
-		if spe := vj.Spec.ValidateBackend(); spe != nil {
+		if spe := vj.Spec.Validate(); spe != nil {
 			errs = append(errs, &analysis.SpecError{Field: loc(i, "spec."+spe.Field),
 				Value: spe.Value, Reason: spe.Reason})
 		}

@@ -460,12 +460,18 @@ func TestV1ProblemGolden(t *testing.T) {
 				{"builtin": "fig2", "source": "func f(x double) double { return x; }",
 				 "spec": {"analysis": "bva"}},
 				{"program": "sha256:beef", "spec": {"analysis": "coverage"}},
-				{"spec": {"analysis": "bva", "backend": "gradient", "engine": "llvm"}},
+				{"spec": {"analysis": "bva", "backend": "gradient"}},
 				{"spec": {"analysis": "xsat"}},
 				{"spec": {"analysis": "xsat", "formula": "x <"}},
 				{"builtin": "fig2", "spec": {"analysis": "reach"}},
 				{"builtin": "fig2", "spec": {"analysis": "bva",
 				 "bounds": [{"lo": 1, "hi": 0}]}}
+			]}`, http.StatusBadRequest},
+		// Knobs that size allocations before any work runs are capped.
+		{"problem_resource_limits.json", "POST", "/v1/jobs", `{
+			"jobs": [
+				{"builtin": "fig2", "spec": {"analysis": "coverage", "workers": 200000000, "evals": 10}},
+				{"builtin": "fig2", "spec": {"analysis": "bva", "lanes": 200000000}}
 			]}`, http.StatusBadRequest},
 		{"problem_no_jobs.json", "POST", "/v1/jobs", `{}`, http.StatusBadRequest},
 		{"problem_bad_timeout.json", "POST", "/v1/jobs",
@@ -594,6 +600,19 @@ func TestJobCapacityEvictionOnlyOnSubmit(t *testing.T) {
 		t.Errorf("problem body status %d, want 429", p.Status)
 	}
 	doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+long.ID, "")
+}
+
+// TestV1RetiredSpecFields: the retired engine and portfolio stall
+// selectors are unknown spec fields, refused like any other.
+func TestV1RetiredSpecFields(t *testing.T) {
+	_, ts := v1Server(t, 1)
+	for _, field := range []string{`"engine": "vm"`, `"stallRatio": 0.05`} {
+		resp, data := doJSON(t, "POST", ts.URL+"/v1/jobs",
+			`{"jobs": [{"builtin": "fig2", "spec": {"analysis": "bva", `+field+`}}]}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown field") {
+			t.Errorf("%s: status %d: %s", field, resp.StatusCode, data)
+		}
+	}
 }
 
 // TestV1SpecErrorParity pins the satellite contract: the typed

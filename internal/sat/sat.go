@@ -254,8 +254,7 @@ type Options struct {
 	// default ULP metric (for the Limitation-2 ablation).
 	RealDist bool
 	// Workers sets multi-start parallelism: 0 selects runtime.NumCPU(),
-	// 1 forces the serial loop. The result is identical for every
-	// value.
+	// 1 runs one worker. The result is identical for every value.
 	Workers int
 }
 
@@ -304,7 +303,6 @@ func Solve(ctx context.Context, f *Formula, o Options) Result {
 	prob := core.Problem{
 		Name: "xsat",
 		Dim:  dim,
-		W:    w,
 		// R is a pure function of x (no monitor state), so every start
 		// can share the one instance.
 		NewW:   func() core.WeakDistance { return w },
