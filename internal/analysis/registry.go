@@ -94,7 +94,7 @@ const (
 
 // Validate checks the knobs that need no program — the caps on workers
 // and lanes, then the backend name — typing a failure as a field-level
-// SpecError. Every Run performs it first; submit-time validators (the
+// SpecError. Every Run performs it too; submit-time validators (the
 // /v1 job API) call it to refuse a job before it executes.
 func (s Spec) Validate() *SpecError {
 	if s.Workers > MaxWorkers {

@@ -135,8 +135,6 @@ type countedMinimizer struct {
 
 func (c *countedMinimizer) Name() string { return c.m.Name() }
 
-// Unwrap exposes the undecorated backend (e.g. for clients configuring
-// Portfolio knobs on a BackendByName result).
 func (c *countedMinimizer) Minimize(obj Objective, dim int, cfg Config) Result {
 	r := c.m.Minimize(obj, dim, cfg)
 	recordBackendEvals(c.name, r)

@@ -102,7 +102,7 @@ type Program struct {
 	// it. A prototype that instead latched the stop and let a native
 	// port run on unobserved made BenchmarkWeakDistanceEval/airy/overflow
 	// slower: 0.94–1.11 µs per evaluation became 1.27–1.48 µs (2-vCPU
-	// Intel Xeon, linux/amd64). It leaves together with the native ports.
+	// linux/amd64 host). It leaves together with the native ports.
 	NoPanicStop bool
 
 	// RunBatch, when non-nil, evaluates the program on len(xs) inputs
