@@ -1,6 +1,8 @@
 // Package repro's root benchmark harness: one testing.B benchmark per
 // table and figure of the paper's evaluation (§6), plus ablation
-// benchmarks for the design choices called out in DESIGN.md. Run with
+// benchmarks for four design choices: stopping at the first zero, ULP
+// versus real-valued distances, the MO backend, and double-double
+// accumulation of the boundary distance. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -152,12 +154,10 @@ func BenchmarkTable4_BesselPerOp(b *testing.B) {
 		})
 		mon := instrument.NewOverflow()
 		for _, f := range rep.Findings {
-			for id := range mon.L {
-				delete(mon.L, id)
-			}
+			mon.L = instrument.SiteSet{}
 			for _, op := range p.Ops {
 				if op.ID != f.Site {
-					mon.L[op.ID] = true
+					mon.L.Add(op.ID)
 				}
 			}
 			if p.Execute(mon, f.Input) != 0 {
@@ -184,7 +184,7 @@ func BenchmarkTable5_InconsistencyReplay(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §5) ---
+// --- Ablation benchmarks: each runs one design choice against its alternative ---
 
 // BenchmarkAblation_StopAtZero measures the early-termination contract
 // (§4.4 remark): stopping the moment W = 0 is sampled versus running

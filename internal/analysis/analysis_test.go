@@ -253,7 +253,7 @@ func replayOverflows(t *testing.T, f analysis.OverflowFinding) bool {
 	// reports exactly whether that site overflows.
 	for _, op := range p.Ops {
 		if op.ID != f.Site {
-			m.L[op.ID] = true
+			m.L.Add(op.ID)
 		}
 	}
 	return p.Execute(m, f.Input) == 0

@@ -223,15 +223,14 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 // mergeBoundaryTrace folds one start's sample stream into the report:
 // count samples, attribute every exact zero to its boundary
 // condition(s) by witness replay, and maintain the Fig. 9 progress
-// series.
+// series. Only zeros need a visit: rep.Samples at a zero is the samples
+// merged before this start plus the zero's 1-based index.
 func mergeBoundaryTrace(p *rt.Program, tr *opt.Trace, wit *instrument.BoundaryWitness,
 	rep *BoundaryReport, stats map[ConditionKey]*ConditionStats, labels map[int]string,
 	o BoundaryOptions) {
-	for _, smp := range tr.Samples() {
-		rep.Samples++
-		if smp.F != 0 {
-			continue
-		}
+	base := rep.Samples
+	for _, smp := range tr.Zeros() {
+		rep.Samples = base + smp.N
 		rep.BoundaryValues++
 		p.Execute(wit, smp.X)
 		sites := wit.Sites()
@@ -272,4 +271,5 @@ func mergeBoundaryTrace(p *rt.Program, tr *opt.Trace, wit *instrument.BoundaryWi
 			}
 		}
 	}
+	rep.Samples = base + tr.Len()
 }

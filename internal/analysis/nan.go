@@ -63,7 +63,7 @@ func (r *NonFiniteReport) Found(site int) bool {
 // targeted operation produced.
 func FindNonFinite(ctx context.Context, p *rt.Program, o NonFiniteOptions) *NonFiniteReport {
 	start := time.Now()
-	hunt := runSiteHunt(ctx, p, o.huntConfig(p, func(tracked map[int]bool) siteMonitor {
+	hunt := runSiteHunt(ctx, p, o.huntConfig(p, func(tracked instrument.SiteSet) siteMonitor {
 		return &instrument.NonFinite{L: tracked}
 	}))
 

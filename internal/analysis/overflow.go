@@ -80,7 +80,7 @@ func (o OverflowOptions) maxRounds(p *rt.Program) int {
 	return 3 * len(p.Ops)
 }
 
-func (o OverflowOptions) huntConfig(p *rt.Program, mk func(tracked map[int]bool) siteMonitor) siteHuntConfig {
+func (o OverflowOptions) huntConfig(p *rt.Program, mk func(tracked instrument.SiteSet) siteMonitor) siteHuntConfig {
 	return siteHuntConfig{
 		seed:          o.Seed,
 		evalsPerRound: o.evalsPerRound(),
@@ -141,7 +141,7 @@ func (r *OverflowReport) Found(site int) bool {
 // terminates when every site is tracked.
 func DetectOverflows(ctx context.Context, p *rt.Program, o OverflowOptions) *OverflowReport {
 	start := time.Now()
-	hunt := runSiteHunt(ctx, p, o.huntConfig(p, func(tracked map[int]bool) siteMonitor {
+	hunt := runSiteHunt(ctx, p, o.huntConfig(p, func(tracked instrument.SiteSet) siteMonitor {
 		return &instrument.Overflow{L: tracked}
 	}))
 
@@ -190,7 +190,7 @@ type siteHuntConfig struct {
 	lanes         int
 	backend       opt.Minimizer
 	bounds        []opt.Bound
-	monitor       func(tracked map[int]bool) siteMonitor
+	monitor       func(tracked instrument.SiteSet) siteMonitor
 }
 
 // siteFinding is one site driven to its target, with the triggering
@@ -221,12 +221,12 @@ type siteHunt struct {
 // consumed round changes L. The outcome is identical for every worker
 // count.
 func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt {
-	L := map[int]bool{}
+	var L instrument.SiteSet
 	var hunt siteHunt
 	retriesLeft := c.retries
 
 	gaveUp := false
-	for !gaveUp && hunt.rounds < c.maxRounds && len(L) < len(p.Ops) {
+	for !gaveUp && hunt.rounds < c.maxRounds && L.Len() < len(p.Ops) {
 		if ctx.Err() != nil {
 			hunt.canceled = true
 			break
@@ -234,10 +234,7 @@ func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt 
 		// Launch speculative rounds against a read-only snapshot of L.
 		// Slot j corresponds to serial round hunt.rounds+j and uses that
 		// round's historical seed.
-		snapshot := make(map[int]bool, len(L))
-		for id := range L {
-			snapshot[id] = true
-		}
+		snapshot := L.Clone()
 		batchSize := c.batchSize
 		if rem := c.maxRounds - hunt.rounds; batchSize > rem {
 			batchSize = rem
@@ -291,7 +288,7 @@ func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt 
 					site:  target,
 					input: sr.X,
 				})
-				L[target] = true
+				L.Add(target)
 				retriesLeft = c.retries
 				break // L changed: remaining slots are stale
 			}
@@ -325,7 +322,7 @@ func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt 
 				retriesLeft--
 				continue
 			}
-			L[target] = true
+			L.Add(target)
 			retriesLeft = c.retries
 			break // L changed: remaining slots are stale
 		}

@@ -5,8 +5,9 @@
 //     from the paper's Fig. 5, with all 23 elementary floating-point
 //     operations as observation sites (the rows of Table 4);
 //   - gsl_sf_hyperg_2F0_e (hyperg_2F0.c) — the x<0 branch via
-//     pre = pow(-1/x, a) and a confluent-U evaluation (substituted by an
-//     asymptotic 2F0 series, see DESIGN.md);
+//     pre = pow(-1/x, a) and a confluent-U evaluation (GSL's
+//     gsl_sf_hyperg_U_e is substituted by its optimally truncated
+//     asymptotic series, see hypergU);
 //   - gsl_sf_airy_Ai_e (airy.c) — with the oscillatory-region pipeline
 //     airy_mod_phase → cheb_eval_mode → gsl_sf_cos_err_e, reproducing
 //     the two confirmed bugs: the division by a vanished Chebyshev sum

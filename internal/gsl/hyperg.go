@@ -95,8 +95,8 @@ func hyperg2F0Impl(ctx *rt.Ctx, a, b, x float64, result *Result) Status {
 	}
 }
 
-// hypergU is the substituted confluent hypergeometric U(a, b, z) for
-// z > 0 (see DESIGN.md): the divergent asymptotic expansion
+// hypergU stands in for GSL's confluent hypergeometric U(a, b, z)
+// (gsl_sf_hyperg_U_e) for z > 0: the divergent asymptotic expansion
 //
 //	U(a,b,z) ≈ z^-a · Σ_{n=0..N} (a)_n (a-b+1)_n / (n! (-z)^n)
 //

@@ -93,8 +93,8 @@ const (
 
 // cosCS and sinCS are the Chebyshev series GSL evaluates on the reduced
 // argument t = 8|z|/π - 1 ∈ [-1, 1]. The coefficients are synthetic
-// stand-ins for GSL's cos_cs/sin_cs (documented in DESIGN.md), derived
-// from the Taylor kernels cos z = 1 - ½z²(1 - z²·c) and
+// stand-ins, not GSL's cos_cs/sin_cs tables: they are derived from the
+// Taylor kernels cos z = 1 - ½z²(1 - z²·c) and
 // sin z = z(1 + z²·s): accurate to ~1e-7 in-domain and — like the
 // originals — wildly divergent for the out-of-domain |t| >> 1 arguments
 // produced by the broken huge-argument reduction (Bug 2's mechanism).

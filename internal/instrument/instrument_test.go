@@ -209,9 +209,9 @@ func TestOverflowEarlyStop(t *testing.T) {
 func TestOverflowTrackedSetMakesNoOp(t *testing.T) {
 	p := progs.Fig2()
 	m := instrument.NewOverflow()
-	m.L[progs.Fig2OpInc] = true
-	m.L[progs.Fig2OpSquare] = true
-	m.L[progs.Fig2OpDec] = true
+	m.L.Add(progs.Fig2OpInc)
+	m.L.Add(progs.Fig2OpSquare)
+	m.L.Add(progs.Fig2OpDec)
 	// All ops tracked → injected code is a no-op → W returns w_init = 1.
 	if got := p.Execute(m, []float64{1e200}); got != 1 {
 		t.Errorf("W = %v, want w_init 1 with all ops tracked", got)
@@ -221,12 +221,36 @@ func TestOverflowTrackedSetMakesNoOp(t *testing.T) {
 	}
 }
 
+func TestSiteSet(t *testing.T) {
+	var s instrument.SiteSet
+	if s.Has(0) || s.Has(-1) || s.Len() != 0 {
+		t.Fatal("zero SiteSet is not empty")
+	}
+	for _, id := range []int{3, 64, 200, 3} {
+		s.Add(id)
+	}
+	snap := s.Clone()
+	s.Add(5)
+	for _, c := range []struct {
+		id       int
+		set, snp bool
+	}{{3, true, true}, {64, true, true}, {200, true, true}, {5, true, false},
+		{4, false, false}, {63, false, false}, {-1, false, false}, {1 << 20, false, false}} {
+		if s.Has(c.id) != c.set || snap.Has(c.id) != c.snp {
+			t.Errorf("Has(%d) = %v, clone %v; want %v, %v", c.id, s.Has(c.id), snap.Has(c.id), c.set, c.snp)
+		}
+	}
+	if s.Len() != 4 || snap.Len() != 3 {
+		t.Errorf("Len = %d, clone %d; want 4, 3", s.Len(), snap.Len())
+	}
+}
+
 func TestOverflowTargetsLastUntracked(t *testing.T) {
 	// With the square op tracked, the last untracked op on the both-true
 	// path is dec; its distance overwrites previous ones.
 	p := progs.Fig2()
 	m := instrument.NewOverflow()
-	m.L[progs.Fig2OpSquare] = true
+	m.L.Add(progs.Fig2OpSquare)
 	p.Execute(m, []float64{0}) // ops: inc(1), square(tracked), dec(0)
 	if m.LastSite() != progs.Fig2OpDec {
 		t.Errorf("LastSite = %d, want dec %d", m.LastSite(), progs.Fig2OpDec)

@@ -25,9 +25,9 @@ import (
 // gradient (grow the magnitude until the cliff), which is how NaNs from
 // Inf−Inf, Inf/Inf, and 0·Inf are reached in practice.
 type NonFinite struct {
-	// L is the set of operation sites already handled. Shared with the
-	// analysis driver.
-	L map[int]bool
+	// L is the set of operation sites already handled. The analysis
+	// driver shares one read-only snapshot across a round's monitors.
+	L SiteSet
 
 	w        float64
 	lastSite int
@@ -35,7 +35,7 @@ type NonFinite struct {
 
 // NewNonFinite returns a monitor with an empty tracked set.
 func NewNonFinite() *NonFinite {
-	return &NonFinite{L: make(map[int]bool)}
+	return &NonFinite{}
 }
 
 // Reset implements rt.Monitor.
@@ -50,7 +50,7 @@ func (m *NonFinite) Branch(int, fp.CmpOp, float64, float64) {}
 
 // FPOp implements rt.Monitor.
 func (m *NonFinite) FPOp(site int, v float64) bool {
-	if m.L[site] {
+	if m.L.Has(site) {
 		return false // behaves like a no-op once tracked
 	}
 	m.lastSite = site

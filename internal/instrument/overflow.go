@@ -19,8 +19,9 @@ import (
 // overflow can be targeted.
 type Overflow struct {
 	// L is the set of operation sites already handled (overflowed with
-	// earlier inputs, or given up on). Shared with the analysis driver.
-	L map[int]bool
+	// earlier inputs, or given up on). The analysis driver shares one
+	// read-only snapshot across a round's monitors.
+	L SiteSet
 
 	w        float64
 	lastSite int
@@ -28,7 +29,7 @@ type Overflow struct {
 
 // NewOverflow returns a monitor with an empty tracked set.
 func NewOverflow() *Overflow {
-	return &Overflow{L: make(map[int]bool)}
+	return &Overflow{}
 }
 
 // Reset implements rt.Monitor.
@@ -42,7 +43,7 @@ func (m *Overflow) Branch(int, fp.CmpOp, float64, float64) {}
 
 // FPOp implements rt.Monitor.
 func (m *Overflow) FPOp(site int, v float64) bool {
-	if m.L[site] {
+	if m.L.Has(site) {
 		return false // behaves like a no-op once tracked (step 2 guard)
 	}
 	m.w = fp.OverflowDist(v)

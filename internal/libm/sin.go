@@ -14,10 +14,13 @@
 //
 // and we keep those comparisons exactly, because the analysis target is
 // the set of boundary conditions k == c (two per branch, ±). What is
-// approximated: the polynomial bodies (glibc's table-driven correctly-
-// rounded kernels are replaced by standard minimax-style polynomials and
-// math.Remainder reduction), which affects only the returned value's low
-// bits, not which branch executes. See DESIGN.md's substitution table.
+// substituted: the branch bodies. Glibc's table-driven correctly-rounded
+// kernels become Taylor-derived polynomials with Cody–Waite reduction,
+// accurate to a few ulp; from |x| = 1e6 the large branch reduces by
+// math.Remainder instead, which loses up to |x|·ulp(2π) absolute. The
+// huge branch calls math.Sin, whose Payne–Hanek reduction plays the
+// role of glibc's multi-precision __branred. None of this changes which
+// branch executes.
 package libm
 
 import (
@@ -117,11 +120,10 @@ func sinImpl(ctx *rt.Ctx, x float64) float64 {
 		}
 		return reducedSin(math.Remainder(x, 2*math.Pi))
 	case ctx.Cmp(SinBranchHuge, fp.LT, k, float64(SinThresholds[4])):
-		// |x| < 2^1024: large-argument reduction. Glibc runs a
-		// multi-precision payload here; we substitute math.Remainder
-		// (documented approximation — see DESIGN.md; accuracy degrades
-		// with |x| but results stay in [-1, 1]).
-		return reducedSin(math.Remainder(x, 2*math.Pi))
+		// |x| < 2^1024: large-argument reduction. Glibc reduces in
+		// multi-precision (__branred); math.Sin reduces |x| ≥ 2^29 by
+		// Payne–Hanek, so the value is accurate for every finite x.
+		return math.Sin(x)
 	default:
 		// Inf or NaN: x/x yields NaN, as in glibc.
 		return x / x

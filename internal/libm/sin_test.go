@@ -26,12 +26,31 @@ func TestSinAccuracy(t *testing.T) {
 			t.Errorf("Sin(%g) = %v, want %v (diff %g)", x, got, want, diff)
 		}
 	}
-	// Beyond the substituted reduction's accurate range, the value is
-	// only guaranteed to be a sine of *some* nearby-in-angle argument:
-	// bounded and finite.
-	for _, x := range []float64{-3.7e15, 1e300, -1e308} {
-		if got := Sin(x); math.IsNaN(got) || math.Abs(got) > 1+1e-9 {
-			t.Errorf("Sin(%g) = %v, want bounded", x, got)
+	// The huge branch (|x| ≥ 1.054e8) against independent references:
+	// the first ten are Go's math/huge_test.go values, computed at 4096
+	// bits of working precision; sin(1e22) is the classic reduction test.
+	huge := []struct{ x, want float64 }{
+		{1 << 28, -0.98619821183697566},
+		{1 << 29, 0.32656766301856334},
+		{1 << 30, -0.61732641504604217},
+		{1 << 35, -0.64443035102329113},
+		{1 << 120, 0.37782010936075202},
+		{1 << 240, -0.35197227524865778},
+		{1 << 480, 0.95917070894368716},
+		{1234567891234567 << 180, 0.98926032637023618},
+		{1234567891234567 << 300, -0.60718488235646949},
+		{math.MaxFloat64, 0.00496195478918406},
+		{1e22, -0.8522008497671888},
+	}
+	for _, c := range huge {
+		for _, sign := range []float64{1, -1} {
+			x, want := sign*c.x, sign*c.want
+			if KOf(x) < SinThresholds[SinBranchLarge] {
+				t.Fatalf("%g is not in the huge branch", x)
+			}
+			if got := Sin(x); math.Abs(got-want) > 1e-14*math.Abs(want) {
+				t.Errorf("Sin(%g) = %v, want %v", x, got, want)
+			}
 		}
 	}
 }
@@ -64,9 +83,9 @@ func TestSinOddSymmetry(t *testing.T) {
 }
 
 func TestSinRangeBound(t *testing.T) {
-	// |sin| <= 1 + tiny slack across all finite inputs (our substituted
-	// huge-branch reduction is still a genuine reduction, so the result
-	// stays bounded — unlike GSL's cos, see internal/gsl).
+	// |sin| <= 1 + tiny slack across all finite inputs (every branch
+	// reduces its argument genuinely, so the result stays bounded —
+	// unlike GSL's cos, see internal/gsl).
 	prop := func(x float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return true

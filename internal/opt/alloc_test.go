@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -33,18 +34,29 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{"DifferentialEvolution", &DifferentialEvolution{}},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{Seed: 1, MaxEvals: evals,
-				Bounds: []Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}}}
-			avg := testing.AllocsPerRun(5, func() {
-				c.m.Minimize(steadyObjective, 2, cfg)
-			})
-			perEval := avg / evals
-			if perEval > 0.05 {
-				t.Errorf("%s: %.1f allocs per run (%.4f per eval), want ~0 per eval",
-					c.name, avg, perEval)
+		// A traced search (Config.Trace) must stay under the same bound:
+		// recording a sample is two amortized appends.
+		for _, traced := range []bool{false, true} {
+			name := c.name
+			if traced {
+				name += "Traced"
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				cfg := Config{Seed: 1, MaxEvals: evals,
+					Bounds: []Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}}}
+				avg := testing.AllocsPerRun(5, func() {
+					if traced {
+						cfg.Trace = &Trace{}
+					}
+					c.m.Minimize(steadyObjective, 2, cfg)
+				})
+				perEval := avg / evals
+				if perEval > 0.05 {
+					t.Errorf("%s: %.1f allocs per run (%.4f per eval), want ~0 per eval",
+						name, avg, perEval)
+				}
+			})
+		}
 	}
 }
 
@@ -84,9 +96,9 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 	}
 }
 
-// BenchmarkMinimizerEvalOverhead reports the per-evaluation cost of
-// each backend's bookkeeping (the objective itself is trivial), with
-// allocations visible via -benchmem.
+// BenchmarkMinimizerEvalOverhead reports the cost of each backend's
+// bookkeeping (the objective itself is trivial), with allocations
+// visible via -benchmem.
 func BenchmarkMinimizerEvalOverhead(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -96,13 +108,18 @@ func BenchmarkMinimizerEvalOverhead(b *testing.B) {
 		{"Powell", &Powell{}},
 		{"Basinhopping", &Basinhopping{}},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := Config{Seed: 1, MaxEvals: 4000,
-				Bounds: []Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}}}
-			for i := 0; i < b.N; i++ {
-				c.m.Minimize(steadyObjective, 2, cfg)
-			}
-		})
+		// 30 evaluations is a served job's per-round budget: there the
+		// per-start fixed cost (RNG seeding, evaluator and scratch set-up)
+		// dominates; 4000 shows the steady state.
+		for _, evals := range []int{30, 4000} {
+			b.Run(fmt.Sprintf("%s/evals=%d", c.name, evals), func(b *testing.B) {
+				b.ReportAllocs()
+				cfg := Config{Seed: 1, MaxEvals: evals,
+					Bounds: []Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}}}
+				for i := 0; i < b.N; i++ {
+					c.m.Minimize(steadyObjective, 2, cfg)
+				}
+			})
+		}
 	}
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"math/rand"
 )
 
 // SimulatedAnnealing is a classic Metropolis annealer with geometric
@@ -46,7 +45,7 @@ func (sa *SimulatedAnnealing) restarts() int {
 
 // Minimize implements Minimizer.
 func (sa *SimulatedAnnealing) Minimize(obj Objective, dim int, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x3c6ef372fe94f82b))
+	rng := newRand(cfg.Seed ^ 0x3c6ef372fe94f82b)
 	e := newEvaluator(obj, cfg, 4000*dim)
 	moves := &Basinhopping{} // reuse the proposal mixture
 

@@ -37,7 +37,7 @@ func (de *DifferentialEvolution) Name() string { return "DifferentialEvolution" 
 
 // Minimize implements Minimizer.
 func (de *DifferentialEvolution) Minimize(obj Objective, dim int, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x1e3779b97f4a7c15))
+	rng := newRand(cfg.Seed ^ 0x1e3779b97f4a7c15)
 	e := newEvaluator(obj, cfg, 4000*dim)
 
 	np := de.PopSize

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"math/rand"
 )
 
 // NelderMead is the derivative-free downhill-simplex local minimizer
@@ -249,6 +248,6 @@ func copyVertex(v *vertex, x []float64, f float64) {
 // start point — mainly useful in tests; global users should prefer
 // Basinhopping or DifferentialEvolution.
 func (nm *NelderMead) Minimize(obj Objective, dim int, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := newRand(cfg.Seed)
 	return nm.MinimizeFrom(obj, randPoint(rng, dim, cfg), cfg)
 }

@@ -180,18 +180,6 @@ func TestTraceRecordsAllEvaluations(t *testing.T) {
 	}
 }
 
-func TestTraceCap(t *testing.T) {
-	tr := &Trace{Cap: 50}
-	cfg := Config{Seed: 5, MaxEvals: 300, Bounds: []Bound{{-10, 10}}, Trace: tr}
-	(&RandomSearch{}).Minimize(sphere, 1, cfg)
-	if got := len(tr.Samples()); got != 50 {
-		t.Errorf("stored %d samples, want cap 50", got)
-	}
-	if tr.Len() != 300 {
-		t.Errorf("counted %d, want 300", tr.Len())
-	}
-}
-
 func TestTraceZeros(t *testing.T) {
 	tr := &Trace{}
 	tr.record([]float64{1}, 0.5)

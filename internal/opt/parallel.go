@@ -42,8 +42,6 @@ type ParallelConfig struct {
 	// RecordTrace allocates a per-start Trace recording every objective
 	// evaluation of that start (merged by callers in start order).
 	RecordTrace bool
-	// TraceCap bounds retained samples per start trace (0 = unlimited).
-	TraceCap int
 	// Accept, when non-nil, is consulted on every exact zero before it
 	// may drain the queue (the §5.2 membership guard: spurious zeros of
 	// a defective weak distance must not cancel the remaining starts).
@@ -174,7 +172,7 @@ func ParallelStarts(backend Minimizer, objective func(start int) Objective, dim 
 				}
 				var tr *Trace
 				if cfg.RecordTrace {
-					tr = &Trace{Cap: cfg.TraceCap}
+					tr = &Trace{}
 				}
 				obj := objective(s)
 				var batch BatchObjective
