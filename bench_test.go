@@ -32,7 +32,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/paper"
 	"repro/internal/progs"
-	"repro/internal/rt"
 	"repro/internal/sat"
 )
 
@@ -322,58 +321,6 @@ func BenchmarkEvalEngine(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					p.Execute(mon, c.x)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkEvalBatch measures one boundary-instrumented objective
-// evaluation through the lane-parallel batch engine at several lane
-// widths, against the same workloads BenchmarkEvalEngine runs serially.
-// ns/op is per LANE (one batched sweep of width K counts as K
-// evaluations), so the scalar-vs-batch evals/s ratio reads directly off
-// the vm row of BenchmarkEvalEngine. Run with
-//
-//	go test -bench='BenchmarkEval(Engine|Batch)' -benchmem
-func BenchmarkEvalBatch(b *testing.B) {
-	cases := []struct {
-		file string
-		fn   string
-		x    []float64
-	}{
-		{"fig2.fpl", "prog", []float64{0.5}},
-		{"newton.fpl", "newton_sqrt", []float64{2.0}},
-		{"sum3.fpl", "prog", []float64{0.1, 0.2, 0.3}},
-		{"sin_fig8.fpl", "sin_dispatch", []float64{0.5}},
-	}
-	widths := []int{1, 4, 16, 64}
-	for _, c := range cases {
-		src, err := os.ReadFile(filepath.Join("testdata", c.file))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mod, err := ir.Compile(string(src))
-		if err != nil {
-			b.Fatalf("%s: %v", c.file, err)
-		}
-		it := interp.New(mod)
-		p, err := it.Program(c.fn)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, width := range widths {
-			mons := instrument.NewLanes(width, func() rt.Monitor { return &instrument.Boundary{} })
-			xs := make([][]float64, width)
-			for i := range xs {
-				xs[i] = c.x
-			}
-			out := make([]float64, width)
-			name := fmt.Sprintf("%s/lanes=%d", strings.TrimSuffix(c.file, ".fpl"), width)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i += width {
-					p.ExecuteBatch(mons, xs, out)
 				}
 			})
 		}

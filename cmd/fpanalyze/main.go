@@ -20,11 +20,11 @@
 //	[{"builtin": "fig2", "spec": {"analysis": "coverage", "seed": 1}}]
 //	EOF
 //
-// Every analysis takes -workers (0 = all CPUs, 1 = one worker) and
-// -lanes (batch evaluation width, 0 or 1 = scalar); neither changes a
-// report, and values above 256 are refused. FPL and Go programs always
-// run on the compiled VM, and the portfolio backend's plateau window is
-// fixed at 400 × dim evaluations and 1% decay.
+// Every analysis takes -workers (0 = all CPUs, 1 = one worker); it never
+// changes a report, and values above 256 are refused. FPL and Go
+// programs always run on the compiled VM, one input at a time, and the
+// portfolio backend's plateau window is fixed at 400 × dim evaluations
+// and 1% decay.
 //
 // Analysis names accept the registry's aliases, among them the names of
 // the former per-analysis tools: `fpanalyze fpbva ARGS` (likewise

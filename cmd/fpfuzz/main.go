@@ -31,7 +31,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/fuzz"
@@ -67,10 +66,10 @@ func usage(w *os.File) {
 	fmt.Fprintln(w, "usage: fpfuzz generate|run|crash|cluster|shrink [flags]")
 	fmt.Fprintln(w, "  generate -n N [-seed S] [-dims D] [-o DIR]  emit corpus programs")
 	fmt.Fprintln(w, "  run [-n N] [-seed S] [-evals E] [-workers W] [-backends a,b] [-analyses x,y]")
-	fmt.Fprintln(w, "      [-layers engine,backend,replay] [-lanes W1,W2] [-recheck] [-max-violations M] [-v]")
+	fmt.Fprintln(w, "      [-layers engine,backend,replay] [-recheck] [-max-violations M] [-v]")
 	fmt.Fprintln(w, "  crash [-rounds R] [-seed S] [-programs P] [-panic-jobs N] [-fault-prob F] [-selftest] [-v]")
 	fmt.Fprintln(w, "  cluster [-workers W] [-seed S] [-programs P] [-evals E] [-selftest] [-v]")
-	fmt.Fprintln(w, "  shrink [-inject-div] [-seed S] [-index I] [-lanes W1,W2] [prog.fpl]")
+	fmt.Fprintln(w, "  shrink [-inject-div] [-seed S] [-index I] [prog.fpl]")
 }
 
 func generate(args []string) int {
@@ -114,7 +113,6 @@ func run(args []string) int {
 	backends := fs.String("backends", "", "comma-separated backend subset (default: all)")
 	analyses := fs.String("analyses", "", "comma-separated analysis subset (default: all)")
 	layers := fs.String("layers", "engine,backend,replay", "oracle layers to run")
-	lanes := fs.String("lanes", "", "comma-separated batch-engine lane widths (default: random per program; 0 disables)")
 	recheck := fs.Bool("recheck", false, "re-run the analysis batch serially and require byte-identical results")
 	maxV := fs.Int("max-violations", 20, "stop after this many violations")
 	verbose := fs.Bool("v", false, "progress output")
@@ -123,11 +121,6 @@ func run(args []string) int {
 	}
 
 	selected, err := parseLayers(*layers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fpfuzz run:", err)
-		return 2
-	}
-	widths, err := parseLanes(*lanes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fpfuzz run:", err)
 		return 2
@@ -145,7 +138,6 @@ func run(args []string) int {
 		SkipEngines:   !selected["engine"],
 		SkipBackends:  !selected["backend"],
 		SkipReplay:    !selected["replay"],
-		Engine:        fuzz.EngineCheck{LaneWidths: widths},
 	}
 	if *verbose {
 		o.Progress = func(done, total int) {
@@ -294,17 +286,11 @@ func shrink(args []string) int {
 	index := fs.Int("index", -1, "shrink generated program INDEX instead of a file")
 	dims := fs.Int("dims", 3, "cycle entry arity over 1..dims")
 	hunt := fs.Int("hunt", 200, "programs to scan when hunting for a failure")
-	lanes := fs.String("lanes", "", "comma-separated batch-engine lane widths (default 2,5,8; 0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return flagExit(err)
 	}
 
-	widths, err := parseLanes(*lanes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fpfuzz shrink:", err)
-		return 2
-	}
-	check := fuzz.EngineCheck{LaneWidths: widths}
+	var check fuzz.EngineCheck
 	if *inject {
 		check.TamperVM = func(src string, r float64) float64 {
 			if !strings.Contains(src, "/") {
@@ -379,22 +365,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseLanes parses the -lanes spec into batch-engine lane widths.
-// "" keeps the library default (nil: a campaign draws random widths per
-// program); "0" yields a non-nil width-free list, disabling the batch
-// party.
-func parseLanes(spec string) ([]int, error) {
-	var widths []int
-	for _, part := range splitList(spec) {
-		w, err := strconv.Atoi(part)
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("bad -lanes width %q", part)
-		}
-		widths = append(widths, w)
-	}
-	return widths, nil
 }
 
 // parseLayers validates the -layers spec: every token must name a real

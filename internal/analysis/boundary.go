@@ -46,11 +46,6 @@ type BoundaryOptions struct {
 	// value — per-start traces are merged in start order, so parallelism
 	// only changes wall-clock time.
 	Workers int
-	// Lanes sets the batch evaluation width: each start's weak distance
-	// evaluates candidate batches as lane-parallel VM sweeps of up to
-	// Lanes inputs. 0 or 1 keeps the scalar path. Like Workers the
-	// report is identical for every value.
-	Lanes int
 }
 
 func (o BoundaryOptions) starts() int {
@@ -182,16 +177,13 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 			mon := &instrument.Boundary{ULP: o.ULP, HighPrecision: o.HighPrecision, Sites: o.Sites}
 			return opt.Objective(inst.WeakDistance(mon))
 		}, p.Dim, opt.ParallelConfig{
-			Starts:     n,
-			Workers:    o.Workers,
-			Seed:       o.Seed + int64(base)*7919,
-			SeedStride: 7919,
-			MaxEvals:   o.evalsPerStart(),
-			Bounds:     o.Bounds,
-			StopAtZero: false, // keep sampling: we want many boundary values
-			Batch: batchFactory(p, o.Lanes, func() rt.Monitor {
-				return &instrument.Boundary{ULP: o.ULP, HighPrecision: o.HighPrecision, Sites: o.Sites}
-			}),
+			Starts:      n,
+			Workers:     o.Workers,
+			Seed:        o.Seed + int64(base)*7919,
+			SeedStride:  7919,
+			MaxEvals:    o.evalsPerStart(),
+			Bounds:      o.Bounds,
+			StopAtZero:  false, // keep sampling: we want many boundary values
 			RecordTrace: true,
 			Ctx:         ctx,
 		})

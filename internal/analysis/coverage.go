@@ -36,11 +36,6 @@ type CoverOptions struct {
 	// Workers value; speculation pays off in the stall phase, where
 	// rounds leave the set unchanged.
 	Workers int
-	// Lanes sets the batch evaluation width: each round's weak distance
-	// evaluates candidate batches as lane-parallel VM sweeps of up to
-	// Lanes inputs. 0 or 1 keeps the scalar path; the report is
-	// identical for every value.
-	Lanes int
 }
 
 func (o CoverOptions) evalsPerRound() int {
@@ -134,10 +129,7 @@ func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
 			MaxEvals:   o.evalsPerRound(),
 			Bounds:     o.Bounds,
 			StopAtZero: true,
-			Batch: batchFactory(p, o.Lanes, func() rt.Monitor {
-				return &instrument.Coverage{Covered: snapshot, ULP: o.ULP}
-			}),
-			Ctx: ctx,
+			Ctx:        ctx,
 		})
 
 		// Consume slots in round order, replaying the serial driver's

@@ -38,11 +38,6 @@ type OverflowOptions struct {
 	// are discarded as soon as a consumed round changes L. The report is
 	// identical for every Workers value.
 	Workers int
-	// Lanes sets the batch evaluation width: each round's weak distance
-	// evaluates candidate batches as lane-parallel VM sweeps of up to
-	// Lanes inputs. 0 or 1 keeps the scalar path; the report is
-	// identical for every value.
-	Lanes int
 }
 
 func (o OverflowOptions) evalsPerRound() int {
@@ -88,7 +83,6 @@ func (o OverflowOptions) huntConfig(p *rt.Program, mk func(tracked instrument.Si
 		retries:       o.retries(),
 		workers:       o.Workers,
 		batchSize:     o.workers(),
-		lanes:         o.Lanes,
 		backend:       o.backend(),
 		bounds:        o.Bounds,
 		monitor:       mk,
@@ -187,7 +181,6 @@ type siteHuntConfig struct {
 	retries       int
 	workers       int
 	batchSize     int
-	lanes         int
 	backend       opt.Minimizer
 	bounds        []opt.Bound
 	monitor       func(tracked instrument.SiteSet) siteMonitor
@@ -251,10 +244,7 @@ func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt 
 			MaxEvals:   c.evalsPerRound,
 			Bounds:     c.bounds,
 			StopAtZero: true,
-			Batch: batchFactory(p, c.lanes, func() rt.Monitor {
-				return c.monitor(snapshot)
-			}),
-			Ctx: ctx,
+			Ctx:        ctx,
 		})
 
 		// Consume slots in round order, replaying Algorithm 3's state

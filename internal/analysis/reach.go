@@ -29,11 +29,6 @@ type ReachOptions struct {
 	// 1 runs one worker. The result is identical for every value — the
 	// solver reports the lowest-index restart that reaches the path.
 	Workers int
-	// Lanes sets the batch evaluation width: each restart's weak
-	// distance evaluates candidate batches as lane-parallel VM sweeps
-	// of up to Lanes inputs. 0 or 1 keeps the scalar path; the result
-	// is identical for every value.
-	Lanes int
 }
 
 // ReachPath searches for an input driving the program along the target
@@ -52,11 +47,6 @@ func ReachPath(ctx context.Context, p *rt.Program, target []instrument.Decision,
 			inst := p.Instance()
 			return inst.WeakDistance(&instrument.Path{Target: target, ULP: o.ULP})
 		},
-		NewBatchW: func(lanes int) opt.BatchObjective {
-			return batchObjective(p, lanes, func() rt.Monitor {
-				return &instrument.Path{Target: target, ULP: o.ULP}
-			})
-		},
 		Member: func(x []float64) bool {
 			inst := p.Instance()
 			wit := &instrument.PathWitness{}
@@ -71,7 +61,6 @@ func ReachPath(ctx context.Context, p *rt.Program, target []instrument.Decision,
 		Seed:          o.Seed,
 		Bounds:        o.Bounds,
 		Workers:       o.Workers,
-		Lanes:         o.Lanes,
 	})
 }
 

@@ -56,54 +56,30 @@ type Spec struct {
 	// runtime.NumCPU(), 1 runs one worker. Reports are identical for
 	// every value. Capped at MaxWorkers.
 	Workers int `json:"workers,omitempty"`
-	// Lanes sets the batch evaluation width: weak distances evaluate
-	// candidate batches as lane-parallel VM sweeps of up to Lanes
-	// inputs per sweep. 0 or 1 keeps the scalar path; reports are
-	// identical for every value (the batch contract is bit-identity).
-	// Formula-based analyses (xsat) ignore it. Capped at MaxLanes.
-	//
-	// The batch VM pays off end to end: `fpanalyze bva -workers 1
-	// -starts 8 -evals 20000 testdata/newton.fpl` took 1.90–2.12 s at
-	// lanes 0 and 1.41–1.47 s at lanes 64 with -backend de, and
-	// 0.85–1.02 s against 0.72–0.93 s with basinhopping (2-vCPU Intel
-	// Xeon, linux/amd64, Go 1.24). No benchmark workload sets lanes, so
-	// choosing the width automatically waits for one that does.
-	Lanes int `json:"lanes,omitempty"`
 	// Path is the target decision sequence (reach).
 	Path []instrument.Decision `json:"path,omitempty"`
 	// Formula is the CNF source (xsat).
 	Formula string `json:"formula,omitempty"`
 }
 
-// The parallelism knobs size allocations before any evaluation runs,
-// so they are capped rather than trusted: a job above a cap is refused
-// instead of exhausting the host's memory. Both caps admit every value
-// the docs, CI and benchmarks use (workers up to 8, lanes up to 64).
-const (
-	// MaxWorkers caps Spec.Workers. It bounds what one job holds at
-	// once: at most MaxWorkers goroutines, each with its own program
-	// instance and weak-distance monitor, and MaxWorkers speculated
-	// rounds (coverage, overflow, nan) or start results per batch (bva).
-	MaxWorkers = 256
-	// MaxLanes caps Spec.Lanes. It bounds one batch evaluator — a
-	// monitor per lane plus the VM's per-lane register columns, about
-	// 9 bytes per register per lane — of which each running worker
-	// holds one.
-	MaxLanes = 256
-)
+// MaxWorkers caps Spec.Workers. The knob sizes allocations before any
+// evaluation runs, so it is capped rather than trusted: a job above the
+// cap is refused instead of exhausting the host's memory. It bounds
+// what one job holds at once: at most MaxWorkers goroutines, each with
+// its own program instance and weak-distance monitor, and MaxWorkers
+// speculated rounds (coverage, overflow, nan) or start results per
+// batch (bva). The cap admits every value the docs, CI and benchmarks
+// use (up to 8).
+const MaxWorkers = 256
 
-// Validate checks the knobs that need no program — the caps on workers
-// and lanes, then the backend name — typing a failure as a field-level
+// Validate checks the knobs that need no program — the cap on workers,
+// then the backend name — typing a failure as a field-level
 // SpecError. Every Run performs it too; submit-time validators (the
 // /v1 job API) call it to refuse a job before it executes.
 func (s Spec) Validate() *SpecError {
 	if s.Workers > MaxWorkers {
 		return &SpecError{Field: "workers", Value: fmt.Sprint(s.Workers),
 			Reason: fmt.Sprintf("workers must be at most %d", MaxWorkers)}
-	}
-	if s.Lanes > MaxLanes {
-		return &SpecError{Field: "lanes", Value: fmt.Sprint(s.Lanes),
-			Reason: fmt.Sprintf("lanes must be at most %d", MaxLanes)}
 	}
 	if _, err := opt.BackendByName(s.Backend); err != nil {
 		return &SpecError{Field: "backend", Value: s.Backend, Reason: err.Error()}
@@ -316,7 +292,6 @@ func (bvaAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, error) {
 		ULP:           s.ULP,
 		HighPrecision: s.HighPrecision,
 		Workers:       s.Workers,
-		Lanes:         s.Lanes,
 	}), nil
 }
 
@@ -349,7 +324,6 @@ func (coverageAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, erro
 		Bounds:        s.Bounds,
 		ULP:           s.ULP,
 		Workers:       s.Workers,
-		Lanes:         s.Lanes,
 	}), nil
 }
 
@@ -393,7 +367,6 @@ func (overflowAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, erro
 		Bounds:           s.Bounds,
 		RetriesPerTarget: s.Retries,
 		Workers:          s.Workers,
-		Lanes:            s.Lanes,
 	})
 	run := &OverflowRun{OverflowReport: rep}
 	if in.SF != nil {
@@ -449,7 +422,6 @@ func (reachAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, error) 
 		Bounds:        s.Bounds,
 		ULP:           s.ULP,
 		Workers:       s.Workers,
-		Lanes:         s.Lanes,
 	})
 	return &ReachRun{Result: r, Program: p.Name, Target: s.Path}, nil
 }
@@ -503,8 +475,6 @@ func (xsatAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, error) {
 		Bounds:        bounds,
 		RealDist:      s.RealDist,
 		Workers:       s.Workers,
-		// Spec.Lanes is deliberately not threaded: xsat evaluates parsed
-		// formulas, not VM programs, so there is no lane sweep to batch.
 	})
 	return &SatRun{Result: r, Vars: vars}, nil
 }
@@ -538,6 +508,5 @@ func (nanAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, error) {
 		Bounds:           s.Bounds,
 		RetriesPerTarget: s.Retries,
 		Workers:          s.Workers,
-		Lanes:            s.Lanes,
 	}), nil
 }

@@ -86,8 +86,6 @@ func TestRegistryRunErrors(t *testing.T) {
 			withBackend(spec("nan"), "nope"), "unknown backend"},
 		{"coverage", analysis.Input{Program: progs.Fig2()},
 			withWorkers(spec("coverage"), analysis.MaxWorkers+1), "workers must be at most"},
-		{"bva", analysis.Input{Program: progs.Fig2()},
-			withLanes(spec("bva"), 200_000_000), "lanes must be at most"},
 	}
 	for _, tc := range cases {
 		a, err := analysis.Lookup(tc.name)
@@ -104,7 +102,6 @@ func TestRegistryRunErrors(t *testing.T) {
 func withFormula(s analysis.Spec, f string) analysis.Spec { s.Formula = f; return s }
 func withBackend(s analysis.Spec, b string) analysis.Spec { s.Backend = b; return s }
 func withWorkers(s analysis.Spec, n int) analysis.Spec    { s.Workers = n; return s }
-func withLanes(s analysis.Spec, n int) analysis.Spec      { s.Lanes = n; return s }
 
 // TestNaNAnalysis exercises the registry's sixth analysis end to end on
 // the native fig2 program: x*x overflows to +Inf for huge x, which the

@@ -111,18 +111,14 @@ func TestSpecFlagsErrors(t *testing.T) {
 		!strings.Contains(msg, "unknown backend") || !strings.Contains(msg, "basinhopping") {
 		t.Errorf("unknown backend: code %d, stderr %q", code, msg)
 	}
-	// Resource limits: a knob above its cap is a typed error before any
+	// Resource limits: workers above its cap is a typed error before any
 	// allocation it would size.
 	if code, msg := run("coverage", "-builtin", "fig2", "-workers", "200000000"); code != 1 ||
 		!strings.Contains(msg, "workers must be at most 256") {
 		t.Errorf("workers over the cap: code %d, stderr %q", code, msg)
 	}
-	if code, msg := run("bva", "-lanes", "200000000", "../../testdata/fig2.fpl"); code != 1 ||
-		!strings.Contains(msg, "lanes must be at most 256") {
-		t.Errorf("lanes over the cap: code %d, stderr %q", code, msg)
-	}
 	// Retired selectors are unknown flags.
-	for _, flag := range []string{"-engine", "-stall-ratio"} {
+	for _, flag := range []string{"-engine", "-stall-ratio", "-lanes"} {
 		if code, msg := run("bva", flag, "1", "-builtin", "fig2"); code != 2 ||
 			!strings.Contains(msg, "flag provided but not defined: "+flag) {
 			t.Errorf("retired %s: code %d, stderr %q", flag, code, msg)

@@ -88,8 +88,6 @@ func NewSpecFlags(fs *flag.FlagSet, tool string, a analysis.Analysis) *SpecFlags
 	}
 	fs.StringVar(&sf.spec.Backend, "backend", be, "MO backend ("+strings.Join(opt.BackendNames(), ", ")+")")
 	fs.IntVar(&sf.spec.Workers, "workers", def.Workers, "parallelism (0 = all CPUs, at most 256)")
-	fs.IntVar(&sf.spec.Lanes, "lanes", def.Lanes,
-		"batch evaluation width: lane-parallel VM sweep size (0 or 1 = scalar, at most 256)")
 	fs.DurationVar(&sf.Timeout, "timeout", 0,
 		"wall-clock budget; on expiry the partial report is rendered (0 = none)")
 	return sf

@@ -49,24 +49,6 @@ type frame struct {
 // number of Machines can share one Module. The arena and stack grow on
 // first use and are reused by every subsequent run: steady-state
 // execution performs no heap allocation.
-//
-// Machine stays beside BatchMachine because the batch VM at one lane
-// is still much slower. Per boundary-instrumented evaluation, from
-// `go test -run '^$' -bench 'BenchmarkEval(Engine|Batch)' -count 3 .`
-// (medians, Intel Xeon, 2 vCPUs, go1.24.0):
-//
-//	fixture   Machine   batch, lanes=1   batch, lanes=64 (per lane)
-//	fig2       116 ns    187 ns (1.6×)     33 ns
-//	newton     572 ns    933 ns (1.6×)    161 ns
-//	sum3       100 ns    166 ns (1.7×)     24 ns
-//	sin_fig8   196 ns    381 ns (1.9×)     50 ns
-//
-// Default /v1 jobs run with lanes=0 on this VM, and its evaluations are
-// 0.38 of a job's analysis time in perfbench's jobs-hot workload
-// (exec.share, `bash perfbench/run.sh --workload jobs-hot --seed 7
-// --trace 1`, same host). Running them on the batch VM at one lane would
-// add a fifth to a third to that time. Retire Machine only once the
-// batch VM's one-lane path matches it.
 type Machine struct {
 	mod *Module
 

@@ -49,13 +49,6 @@ type Problem struct {
 	// own program instance. Solve calls it once per executed start,
 	// from the goroutine that runs the start.
 	NewW func() WeakDistance
-	// NewBatchW, when non-nil, returns an independent batch evaluator of
-	// the same weak distance: Eval(xs, out) must write W(xs[i]) to
-	// out[i], bit-identical to the scalar W, chunking internally into
-	// lane-parallel sweeps of at most `lanes` inputs. Like NewW each
-	// returned instance is single-goroutine and independent of every
-	// other instance. It is consumed only when Options.Lanes > 1.
-	NewBatchW func(lanes int) opt.BatchObjective
 }
 
 // Options configures the Solve driver.
@@ -75,14 +68,6 @@ type Options struct {
 	// runtime.NumCPU(), 1 runs one worker. Results are identical for
 	// every value — parallelism only changes wall-clock time.
 	Workers int
-	// Lanes sets the batch evaluation width: backends with natural lane
-	// fillers submit candidate batches that the weak distance evaluates
-	// as lane-parallel VM sweeps of up to Lanes inputs each. 0 or 1
-	// keeps the scalar path; the knob is ignored when the problem
-	// carries no NewBatchW constructor. Like Workers it never changes
-	// results, only throughput — the batch contract is bit-identity
-	// with serial evaluation.
-	Lanes int
 }
 
 func (o Options) backend() opt.Minimizer {
@@ -216,15 +201,6 @@ func Solve(ctx context.Context, p Problem, o Options) Result {
 	if p.Dim < 1 {
 		return Result{W: math.Inf(1)}
 	}
-	// Each executed start gets its own batch evaluator, constructed in
-	// the worker goroutine that runs it — same per-start isolation as
-	// the scalar NewW instances.
-	var batchFactory func(int) opt.BatchObjective
-	if o.Lanes > 1 && p.NewBatchW != nil {
-		batchFactory = func(int) opt.BatchObjective {
-			return p.NewBatchW(o.Lanes)
-		}
-	}
 	budget := o.evalsPerStart(p.Dim)
 	launch := func(n int, seed int64) []opt.StartResult {
 		return opt.ParallelStarts(o.backend(), func(int) opt.Objective {
@@ -237,7 +213,6 @@ func Solve(ctx context.Context, p Problem, o Options) Result {
 			MaxEvals:   budget,
 			Bounds:     o.Bounds,
 			StopAtZero: true,
-			Batch:      batchFactory,
 			Accept: func(_ int, r opt.Result) bool {
 				return p.Member == nil || p.Member(r.X)
 			},

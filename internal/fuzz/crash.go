@@ -40,8 +40,8 @@ type CrashOptions struct {
 	// Analyses restricts the per-program spec list; empty selects a
 	// cheap deterministic trio (coverage, overflow, xsat).
 	Analyses []string
-	// Workers bounds the pipeline worker pool (0 = all CPUs); per the
-	// batch-evaluation contract it never changes results.
+	// Workers bounds the pipeline worker pool (0 = all CPUs); it never
+	// changes results.
 	Workers int
 	// PanicJobs injects a deterministic panic into a content-keyed
 	// subset of jobs (roughly one in PanicJobs), in the golden run and

@@ -4,11 +4,10 @@
 // all registered analyses, the batch pipeline — and checks the paper's
 // central soundness property at each layer:
 //
-//  1. Engine differential: the flat-code VM, the tree-walking
-//     interpreter, and the lane-parallel batch VM are bit-identical on
-//     results, monitor observation traces, assertion failures,
-//     step-budget aborts, and monitor early stops — the batch engine
-//     checked lane by lane at several lane widths.
+//  1. Engine differential: the flat-code VM and the tree-walking
+//     interpreter are bit-identical on results, monitor observation
+//     traces, assertion failures, step-budget aborts, and monitor early
+//     stops.
 //  2. Backend differential: every opt.BackendByName backend either
 //     converges to a replay-confirmed weak-distance zero or reports
 //     not-found — never a false witness.
@@ -76,23 +75,11 @@ type EngineCheck struct {
 	// selects 1 (first divergence wins — the program is already a
 	// reproducer).
 	MaxViolations int
-	// LaneWidths lists the lane widths of the batch-engine third party:
-	// the whole input battery re-runs through the VM's lane-parallel
-	// entry point (rt.Program.ExecuteBatch) at each width and must be
-	// bit-identical, lane by lane, to the serial VM runs already checked
-	// against the tree engine — weak distances, observation traces,
-	// assert failure logs, budget aborts, and early stops. nil selects
-	// {2, 5, 8}; widths below 2 are dropped, so []int{0} disables the
-	// batch party.
-	LaneWidths []int
 	// TamperVM, when non-nil, perturbs the VM's uninstrumented result —
 	// the injected-bug hook used to validate that the oracle and the
 	// shrinker actually catch engine divergences. Production campaigns
 	// leave it nil.
 	TamperVM func(src string, r float64) float64
-	// TamperBatch, when non-nil, perturbs every batched weak distance —
-	// the injected-bug hook validating that the batch third party bites.
-	TamperBatch func(src string, w float64) float64
 }
 
 func (c EngineCheck) budgetSweep() int {
@@ -120,29 +107,6 @@ func (c EngineCheck) maxViolations() int {
 		return c.MaxViolations
 	}
 	return 1
-}
-
-func (c EngineCheck) laneWidths() []int {
-	if c.LaneWidths == nil {
-		return []int{2, 5, 8}
-	}
-	ws := make([]int, 0, len(c.LaneWidths))
-	for _, w := range c.LaneWidths {
-		if w >= 2 {
-			ws = append(ws, w)
-		}
-	}
-	return ws
-}
-
-// laneStop staggers monitor early stops across a battery so different
-// lanes of one batched sweep retire after different FP-op counts;
-// stagger 0 disables stopping.
-func laneStop(i, stagger int) int {
-	if stagger == 0 {
-		return 0
-	}
-	return 1 + i%stagger
 }
 
 // obs is one recorded monitor observation.
@@ -363,105 +327,6 @@ func CheckEngines(src, fn string, inputs [][]float64, c EngineCheck) []Violation
 		vm.ClearFailures()
 	}
 
-	// Batch engine: the lane-parallel VM joins the differential as a
-	// third party. The whole battery re-runs through the VM's batched
-	// entry point (rt.Program.ExecuteBatch) at every configured lane
-	// width — plain sweeps, every small step budget, staggered early
-	// stops — and each lane must be bit-identical to the serial VM run
-	// already checked against the tree engine: weak distances,
-	// observation traces, assert failure logs, and abort points.
-	widths := c.laneWidths()
-	var valid [][]float64
-	for _, x := range inputs {
-		if len(x) == mod.Func(fn).NParams {
-			valid = append(valid, x)
-		}
-	}
-	if len(widths) == 0 || len(valid) == 0 {
-		return out
-	}
-
-	type laneRef struct {
-		w       float64
-		recs    []obs
-		stopped bool
-	}
-	// serialRefs runs the battery one input at a time under the current
-	// vm.MaxSteps, recording the per-input reference each batched lane
-	// must reproduce plus the serial assert failure log.
-	serialRefs := func(stagger int) ([]laneRef, string) {
-		vm.ClearFailures()
-		refs := make([]laneRef, len(valid))
-		for i, x := range valid {
-			tr := &tracer{stopAt: laneStop(i, stagger)}
-			refs[i].w = pv.Execute(tr, x)
-			refs[i].recs = append([]obs(nil), tr.recs...)
-			refs[i].stopped = tr.stopped
-		}
-		fails := fmt.Sprint(vm.Failures)
-		vm.ClearFailures()
-		return refs, fails
-	}
-	// batchDiverges sweeps the battery in chunks of the lane width and
-	// compares every lane against its serial reference. It returns true
-	// when the violation budget is exhausted.
-	batchDiverges := func(width, budget, stagger int, refs []laneRef, serialFails string) bool {
-		vm.ClearFailures()
-		ws := make([]float64, width)
-		mons := make([]rt.Monitor, width)
-		trs := make([]*tracer, width)
-		for lo := 0; lo < len(valid); lo += width {
-			hi := lo + width
-			if hi > len(valid) {
-				hi = len(valid)
-			}
-			xs := valid[lo:hi]
-			for i := range xs {
-				trs[i] = &tracer{stopAt: laneStop(lo+i, stagger)}
-				mons[i] = trs[i]
-			}
-			pv.ExecuteBatch(mons[:len(xs)], xs, ws[:len(xs)])
-			for i, x := range xs {
-				got := ws[i]
-				if c.TamperBatch != nil {
-					got = c.TamperBatch(src, got)
-				}
-				ref := refs[lo+i]
-				if got != ref.w || trs[i].stopped != ref.stopped || !sameTrace(trs[i].recs, ref.recs) {
-					return report(fmt.Sprintf(
-						"%s(%v) lanes=%d budget=%d stopAt=%d: batch lane diverges from serial vm (serial %d obs w=%v, batch %d obs w=%v)",
-						fn, x, width, budget, laneStop(lo+i, stagger), len(ref.recs), ref.w, len(trs[i].recs), got), x)
-				}
-			}
-		}
-		if got := fmt.Sprint(vm.Failures); got != serialFails {
-			return report(fmt.Sprintf("lanes=%d budget=%d: batched assert failure log diverges:\nserial %s\nbatch  %s",
-				width, budget, serialFails, got), nil)
-		}
-		vm.ClearFailures()
-		return false
-	}
-	// checkPhase compares every width under one (budget, stagger)
-	// configuration against a single set of serial references.
-	checkPhase := func(budget, stagger int) bool {
-		vm.MaxSteps = budget
-		refs, fails := serialRefs(stagger)
-		for _, width := range widths {
-			if batchDiverges(width, budget, stagger, refs, fails) {
-				return true
-			}
-		}
-		return false
-	}
-	stop := checkPhase(c.MaxSteps, 0)
-	for budget := 1; !stop && budget <= c.budgetSweep(); budget++ {
-		stop = checkPhase(budget, 0)
-	}
-	if !stop && c.earlyStops() > 0 {
-		checkPhase(c.MaxSteps, c.earlyStops())
-	}
-	vm.MaxSteps = c.MaxSteps
-	vm.ClearFailures()
 	return out
 }
 

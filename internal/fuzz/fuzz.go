@@ -188,20 +188,9 @@ func Run(o Options) *Result {
 		}
 		res.Programs++
 		if !o.SkipEngines {
-			ec := o.Engine
-			if ec.LaneWidths == nil {
-				// A campaign sweeps the batch engine over random lane
-				// widths: every program draws its own pair — one small
-				// width that forces multi-chunk sweeps, one wide enough
-				// to swallow the battery in a single sweep. The draw is
-				// seeded off progSeed, not c.rng, so adding the batch
-				// party shifted no other campaign stream.
-				wrng := rand.New(rand.NewSource(progSeed(o.Seed, i) ^ 0x6c616e6573))
-				ec.LaneWidths = []int{2 + wrng.Intn(6), 8 + wrng.Intn(25)}
-			}
 			res.EngineInputs += len(c.inputs)
 			res.Violations = append(res.Violations,
-				CheckEngines(c.src, "f", c.inputs, ec)...)
+				CheckEngines(c.src, "f", c.inputs, o.Engine)...)
 		}
 		if !o.SkipBackends && !overBudget() {
 			bc := BackendCheck{Backends: o.Backends, Seed: progSeed(o.Seed, i), Evals: o.evals()}

@@ -2,7 +2,6 @@ package fuzz_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/fuzz"
@@ -69,36 +68,6 @@ func TestEngineOracleCatchesInjectedDivergence(t *testing.T) {
 	}
 	if vs[0].Layer != "engine" {
 		t.Fatalf("violation layer %q, want engine", vs[0].Layer)
-	}
-}
-
-// TestBatchOracleCatchesInjectedDivergence: a deliberately tampered
-// batched weak distance must be caught by the batch third party of
-// oracle layer 1, and the violation must name the lane width.
-func TestBatchOracleCatchesInjectedDivergence(t *testing.T) {
-	src, _, inputs := fuzz.GenerateProgram(1, 0, 1)
-	vs := fuzz.CheckEngines(src, "f", inputs, fuzz.EngineCheck{
-		TamperBatch: func(_ string, w float64) float64 { return w + 1 },
-	})
-	if len(vs) == 0 {
-		t.Fatal("tampered batch weak distance not caught by the engine oracle")
-	}
-	if !strings.Contains(vs[0].Detail, "lanes=") {
-		t.Fatalf("violation not attributed to the batch party: %s", vs[0].Detail)
-	}
-}
-
-// TestBatchOracleDisabled: []int{0} switches the batch party off — the
-// tamper hook must then go unnoticed (the serial battery never calls
-// it).
-func TestBatchOracleDisabled(t *testing.T) {
-	src, _, inputs := fuzz.GenerateProgram(1, 0, 1)
-	vs := fuzz.CheckEngines(src, "f", inputs, fuzz.EngineCheck{
-		LaneWidths:  []int{0},
-		TamperBatch: func(_ string, w float64) float64 { return w + 1 },
-	})
-	if len(vs) != 0 {
-		t.Fatalf("batch party ran despite LaneWidths=[0]: %s", vs[0].Detail)
 	}
 }
 

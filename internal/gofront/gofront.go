@@ -3,9 +3,9 @@
 // lowers a numeric subset — float64 arithmetic and comparisons, if/for
 // control flow, intra-unit calls, and math.* calls mapped onto
 // internal/builtins — into the same ir.Module that FPL programs compile
-// to. Everything downstream (both execution engines, the batch VM, all
-// six analyses, the pipeline cache, /v1, the cluster coordinator) works
-// on lifted Go programs unchanged.
+// to. Everything downstream (both execution engines, all six analyses,
+// the pipeline cache, /v1, the cluster coordinator) works on lifted Go
+// programs unchanged.
 //
 // Anything outside the subset is rejected with a typed, position-
 // carrying Diagnostic (goroutines, channels, strings, slices, maps,

@@ -7,12 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/compile"
 	"repro/internal/fplgen"
 	"repro/internal/gofront"
 	"repro/internal/gsl/lift"
 	"repro/internal/interp"
-	"repro/internal/rt"
 )
 
 // TestCorpusLifts pins the tentpole acceptance bar: the combined corpus
@@ -64,18 +62,13 @@ func sameBits(a, b uint64) bool {
 
 // TestDifferentialOracle is the native-vs-lifted differential contract:
 // every corpus function, executed natively (the real compiled Go code),
-// through the tree-walking engine, through the VM, and through the
-// batch VM at lane widths 1, 4, and 16, must produce bit-identical
-// results (see sameBits) over the shared input battery.
+// through the tree-walking engine and through the VM, must produce
+// bit-identical results (see sameBits) over the shared input battery.
 func TestDifferentialOracle(t *testing.T) {
 	src := lift.CombinedSource()
 	mod, err := gofront.Compile("lift.go", src)
 	if err != nil {
 		t.Fatalf("lift: %v", err)
-	}
-	cm, err := compile.Compile(mod)
-	if err != nil {
-		t.Fatalf("flat-compile: %v", err)
 	}
 
 	rng := rand.New(rand.NewSource(41))
@@ -102,31 +95,6 @@ func TestDifferentialOracle(t *testing.T) {
 					t.Errorf("%s(%v) engine %s: got %x (%g), native %x (%g)",
 						name, x, eng, math.Float64bits(got), got,
 						want[i], math.Float64frombits(want[i]))
-				}
-			}
-		}
-
-		// Batch VM at the contract's lane widths.
-		cfn := cm.Func(name)
-		for _, width := range []int{1, 4, 16} {
-			bvm := cm.NewBatchMachine(width)
-			out := make([]float64, width)
-			for lo := 0; lo < len(inputs); lo += width {
-				hi := lo + width
-				if hi > len(inputs) {
-					hi = len(inputs)
-				}
-				xs := inputs[lo:hi]
-				mons := make([]rt.Monitor, len(xs))
-				for i := range mons {
-					mons[i] = rt.NopMonitor{}
-				}
-				bvm.Run(mons, cfn, xs, out[:len(xs)])
-				for i := range xs {
-					if !sameBits(math.Float64bits(out[i]), want[lo+i]) {
-						t.Errorf("%s(%v) batch width %d lane %d: got %x, native %x",
-							name, xs[i], width, i, math.Float64bits(out[i]), want[lo+i])
-					}
 				}
 			}
 		}

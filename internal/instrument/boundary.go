@@ -65,38 +65,10 @@ func (m *Boundary) Reset() {
 	}
 }
 
-// PlainConfig reports whether the monitor runs the default
-// configuration — no site filter, |a-b| metric, float64 accumulation —
-// whose entire Branch body is the saturated product step that MulFactor
-// applies. Batch engines use it to gate a devirtualized per-lane branch
-// update: when every lane's monitor is a PlainConfig *Boundary, the
-// engine computes the factor itself and calls MulFactor through the
-// concrete receiver, eliminating the interface dispatch that dominates
-// branch-heavy lane sweeps.
-func (m *Boundary) PlainConfig() bool {
-	return m.Sites == nil && !m.ULP && !m.HighPrecision
-}
-
-// ResetPlain is Reset specialized to the plain configuration: a bare
-// store, so devirtualized batch sweeps can reset a whole monitor array
-// without interface dispatch. Callers must have checked PlainConfig.
-func (m *Boundary) ResetPlain() { m.w = 1 }
-
-// ValuePlain is Value specialized to the plain configuration: a bare
-// load. Callers must have checked PlainConfig.
-func (m *Boundary) ValuePlain() float64 { return m.w }
-
 // MulFactor folds one branch factor into the plain-configuration
-// product: w = min(w*d, MaxFloat). Calling it with the factor
-//
-//	d := fp.Abs(a - b)
-//	if !(d <= fp.MaxFloat) {
-//	    d = fp.BoundaryDist(a, b)
-//	}
-//
-// is bit-identical to Branch(site, op, a, b) under PlainConfig. It is
-// deliberately tiny so a concrete call site inlines to a load, a
-// multiply, a clamp, and a store.
+// product (no site filter, |a-b| metric, float64 accumulation):
+// w = min(w*d, MaxFloat). It is deliberately tiny so Branch's default
+// path inlines to a load, a multiply, a clamp, and a store.
 func (m *Boundary) MulFactor(d float64) {
 	w := m.w * d
 	if w > fp.MaxFloat {

@@ -115,7 +115,6 @@ func (it *Interp) Program(fnName string) (*rt.Program, error) {
 		return nil, fmt.Errorf("interp: no function %q in module", fnName)
 	}
 	var run func(ctx *rt.Ctx, x []float64)
-	var runBatch func(mons []rt.Monitor, xs [][]float64, out []float64)
 	if it.Engine == EngineTree {
 		run = func(ctx *rt.Ctx, x []float64) {
 			it.run(ctx, fn, x)
@@ -136,21 +135,6 @@ func (it *Interp) Program(fnName string) (*rt.Program, error) {
 			vm.MaxSteps = it.MaxSteps
 			vm.Run(ctx, cfn, x)
 		}
-		// Lane-parallel entry point: a batch machine materializes on
-		// the first batched sweep (sized to it, regrown on demand) so
-		// scalar-only users pay nothing. Sweep owns the whole monitor
-		// bracket — reset, observe, collect weak distances into out.
-		var bvm *compile.BatchMachine
-		runBatch = func(mons []rt.Monitor, xs [][]float64, out []float64) {
-			if bvm == nil || bvm.K() < len(xs) {
-				bvm = cm.NewBatchMachine(len(xs))
-				bvm.OnAssertFailure = func(f AssertFailure) {
-					it.Failures = append(it.Failures, f)
-				}
-			}
-			bvm.MaxSteps = it.MaxSteps
-			bvm.Sweep(mons, cfn, xs, out)
-		}
 	}
 	return &rt.Program{
 		Name:     fnName,
@@ -158,7 +142,6 @@ func (it *Interp) Program(fnName string) (*rt.Program, error) {
 		Ops:      it.Mod.OpSites,
 		Branches: it.Mod.BranchSites,
 		Run:      run,
-		RunBatch: runBatch,
 		// The VM unwinds monitor stops through ordinary returns; only
 		// the tree-walker needs the panic-based protocol.
 		NoPanicStop: it.Engine != EngineTree,

@@ -32,6 +32,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{"Basinhopping", &Basinhopping{}},
 		{"SimulatedAnnealing", &SimulatedAnnealing{}},
 		{"DifferentialEvolution", &DifferentialEvolution{}},
+		{"RandomSearch", &RandomSearch{}},
 	}
 	for _, c := range cases {
 		// A traced search (Config.Trace) must stay under the same bound:
@@ -57,42 +58,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestSteadyStateAllocsBatch pins the same bound for the batched
-// evaluation path: with Config.Batch set, the evalBatch fold and the
-// backends' batch assembly (DE generations, Nelder–Mead polls,
-// annealing probe pools) must stay allocation-free in steady state.
-func TestSteadyStateAllocsBatch(t *testing.T) {
-	const evals = 4000
-	batch := BatchFunc(func(xs [][]float64, out []float64) {
-		for i, x := range xs {
-			out[i] = steadyObjective(x)
-		}
-	})
-	cases := []struct {
-		name string
-		m    Minimizer
-	}{
-		{"DifferentialEvolution", &DifferentialEvolution{}},
-		{"NelderMead", &NelderMead{}},
-		{"Basinhopping", &Basinhopping{}},
-		{"SimulatedAnnealing", &SimulatedAnnealing{}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{Seed: 1, MaxEvals: evals, Batch: batch,
-				Bounds: []Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}}}
-			avg := testing.AllocsPerRun(5, func() {
-				c.m.Minimize(steadyObjective, 2, cfg)
-			})
-			perEval := avg / evals
-			if perEval > 0.05 {
-				t.Errorf("%s: %.1f allocs per run (%.4f per eval), want ~0 per eval",
-					c.name, avg, perEval)
-			}
-		})
 	}
 }
 

@@ -72,10 +72,8 @@ func (sa *SimulatedAnnealing) Minimize(obj Objective, dim int, cfg Config) Resul
 		curF := e.eval(cur)
 
 		// Adaptive initial temperature: the spread of a pool of probe
-		// moves, all perturbed from the frozen restart point and scored
-		// as one batch (the perturbation-probe lane filler). The chain
-		// then starts from the best probe, which is where the old
-		// greedy serial walk ended up whenever it mattered.
+		// moves, all perturbed from the frozen restart point and then
+		// scored. The chain starts from the best probe.
 		T := sa.InitTemp
 		if T == 0 {
 			for i := range probeX {

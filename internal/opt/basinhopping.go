@@ -21,12 +21,6 @@ import (
 //     resets, letting the chain traverse the 600-binade dynamic range of
 //     binary64 (boundary conditions at 1e-8, overflows at 1e308).
 //
-// The hop chain itself is inherently sequential (each hop perturbs the
-// previous accepted minimum), so basin-hopping consumes Config.Batch
-// through its inner local search: the default Nelder–Mead scores its
-// simplex re-seeding poll — one per hop — and its shrink steps as
-// batches.
-//
 // The zero value is ready to use.
 type Basinhopping struct {
 	// Local is the inner minimizer; nil selects a default Nelder–Mead.

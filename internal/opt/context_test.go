@@ -65,72 +65,6 @@ func TestCancellationWithinOneEval(t *testing.T) {
 	}
 }
 
-// TestCancellationWithinOneBatch extends the within-one-evaluation
-// contract to the batch path: when Config.Ctx fires while a batch is in
-// flight, the lanes of THAT batch may finish (the documented
-// granularity — cancellation lands within one batch), but no further
-// batch is dispatched and no further scalar evaluation begins. The
-// objectives count every execution — scalar call or batch lane — and
-// cancel the context mid-stream, so the assertions are on real
-// dispatches, not bookkeeping.
-func TestCancellationWithinOneBatch(t *testing.T) {
-	const cancelAt = 100
-	for _, be := range allMinimizers(t) {
-		be := be
-		t.Run(be.Name(), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			total := 0         // objective executions: scalar calls + batch lanes
-			canceled := false  // set the instant cancel() fires
-			scalarAfter := 0   // scalar calls beginning after cancellation
-			dispatchAfter := 0 // batch dispatches beginning after cancellation
-			step := func() {
-				total++
-				if total == cancelAt {
-					canceled = true
-					cancel() // fires mid-batch (or mid-call), like a real deadline
-				}
-			}
-			obj := func(x []float64) float64 {
-				if canceled {
-					scalarAfter++
-				}
-				step()
-				// No zeros: the search would run its full budget.
-				return 1 + x[0]*x[0]
-			}
-			batch := BatchFunc(func(xs [][]float64, out []float64) {
-				if canceled {
-					dispatchAfter++
-				}
-				for i, x := range xs {
-					step()
-					out[i] = 1 + x[0]*x[0]
-				}
-			})
-			r := be.Minimize(obj, 2, Config{
-				Seed:     1,
-				MaxEvals: 10_000_000, // would take minutes if cancellation leaked
-				Bounds:   []Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}},
-				Ctx:      ctx,
-				Batch:    batch,
-			})
-			if scalarAfter > 0 {
-				t.Errorf("%s: %d scalar evaluations began after cancellation", be.Name(), scalarAfter)
-			}
-			if dispatchAfter > 0 {
-				t.Errorf("%s: %d batch dispatches began after cancellation", be.Name(), dispatchAfter)
-			}
-			if !r.Canceled {
-				t.Errorf("%s: Result.Canceled = false after mid-run cancellation (%+v)", be.Name(), r)
-			}
-			if r.Evals != total {
-				t.Errorf("%s: Evals = %d, want %d (uncounted or phantom evaluations)", be.Name(), r.Evals, total)
-			}
-		})
-	}
-}
-
 // TestDeadlineStopsMinimize locks the deadline path: an
 // already-expired context means zero objective calls.
 func TestDeadlineStopsMinimize(t *testing.T) {

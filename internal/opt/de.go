@@ -12,10 +12,9 @@ import (
 //
 // The implementation is generation-synchronous: every generation builds
 // all np trial vectors from the frozen current population, evaluates
-// them as one batch (Config.Batch), and only then applies selection.
-// This is classic DE (the steady-state variant that folds each trial in
-// immediately is a common serial micro-optimization), and it makes each
-// generation a full natural lane filler for batched objectives.
+// them in order, and only then applies selection. This is classic DE
+// (the steady-state variant that folds each trial in immediately is a
+// common serial micro-optimization).
 //
 // The zero value is ready to use.
 type DifferentialEvolution struct {
@@ -56,7 +55,7 @@ func (de *DifferentialEvolution) Minimize(obj Objective, dim int, cfg Config) Re
 		CR = 0.9
 	}
 
-	// Initialize the population and score it with one batched sweep.
+	// Initialize the population, then score it.
 	// Members left unevaluated by an exhausted budget keep +Inf fitness
 	// so any later trial can replace them.
 	pop := make([][]float64, np)
@@ -90,8 +89,8 @@ func (de *DifferentialEvolution) Minimize(obj Objective, dim int, cfg Config) Re
 	for !e.done() {
 		gens++
 		// Mutation + crossover for the whole generation, against the
-		// frozen population, then one batch evaluation, then selection
-		// over the evaluated prefix.
+		// frozen population, then evaluation, then selection over the
+		// evaluated prefix.
 		for i := 0; i < np; i++ {
 			// Pick three distinct members a, b, c != i.
 			a, b, c := distinct3(rng, np, i)

@@ -67,8 +67,8 @@ type nmScratch struct {
 	xr       []float64   // reflection point
 	xe       []float64   // expansion point
 	xc       []float64   // contraction point
-	batchX   [][]float64 // gathered vertex pointers for batched polls
-	batchF   []float64   // batched poll values
+	batchX   [][]float64 // gathered vertex pointers for polls
+	batchF   []float64   // poll values
 }
 
 func newNMScratch(dim int) *nmScratch {
@@ -103,10 +103,9 @@ func (nm *NelderMead) run(e *evaluator, x0 []float64, cfg Config, scr *nmScratch
 	dim := len(x0)
 
 	// Initial simplex: x0 plus dim perturbed vertices, re-seeded into
-	// the scratch vertices and scored as one batched poll — the simplex
-	// re-seeding lane filler (Basinhopping performs one per hop).
-	// Perturbation is relative so the simplex is meaningful at any
-	// magnitude (1e-300 or 1e300 alike).
+	// the scratch vertices and then scored as one poll. Perturbation is
+	// relative so the simplex is meaningful at any magnitude (1e-300 or
+	// 1e300 alike).
 	simplex := scr.simplex
 	for i := 0; i <= dim; i++ {
 		v := &simplex[i]
@@ -199,7 +198,7 @@ func (nm *NelderMead) run(e *evaluator, x0 []float64, cfg Config, scr *nmScratch
 				copyVertex(&simplex[dim], xc, fc)
 			} else {
 				// Shrink toward the best vertex: move all dim positions
-				// in place, then score them as one batched poll. A
+				// in place, then score them as one poll. A
 				// position whose evaluation the budget cut off keeps its
 				// old f; the outer loop exits via done() immediately and
 				// the result comes from the evaluator's best-point

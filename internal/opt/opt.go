@@ -91,22 +91,9 @@ type Config struct {
 	// shared evaluator consults it before every objective evaluation, so
 	// a cancellation or deadline lands within ONE evaluation — no more
 	// objective calls happen after Ctx is done, whatever the backend's
-	// internal phase. With Batch set the granularity coarsens to one
-	// BATCH: the evaluator checks Ctx before each batch dispatch, so a
-	// cancellation lands within one batch (which is one evaluation for
-	// the serial adapter). Nil means no cancellation (and no per-eval
+	// internal phase. Nil means no cancellation (and no per-eval
 	// overhead).
 	Ctx context.Context
-	// Batch, when non-nil, evaluates whole candidate batches in one
-	// call. It must compute exactly the same function as the scalar
-	// objective (typically both wrap one instrumented program: the
-	// scalar one executes a single lane, Batch a lane-parallel sweep).
-	// Backends with natural lane fillers — DE generations, Nelder–Mead
-	// simplex re-seeding polls, annealing probe pools, the multi-start
-	// fan-out — route those phases through it; inherently sequential
-	// phases stay on the scalar objective. Nil runs batches as serial
-	// loops over the scalar objective: always correct, never faster.
-	Batch BatchObjective
 }
 
 func (c Config) maxEvals(def int) int {
@@ -232,6 +219,21 @@ func (e *evaluator) eval(x []float64) float64 {
 	return f
 }
 
+// evalBatch samples the objective at up to len(xs) points in order,
+// writing each sanitized value to out, and returns how many leading
+// entries it evaluated: it stops early once the search must stop.
+// Entries at and past the returned count are unevaluated; callers must
+// not read them.
+func (e *evaluator) evalBatch(xs [][]float64, out []float64) int {
+	for i, x := range xs {
+		if e.done() {
+			return i
+		}
+		out[i] = e.eval(x)
+	}
+	return len(xs)
+}
+
 // done reports whether the search must stop (budget exhausted, zero
 // found under the stop-at-zero contract, or context cancelled).
 func (e *evaluator) done() bool {
@@ -258,6 +260,12 @@ func (e *evaluator) result(iters int) Result {
 // at FullRange.
 func randPoint(rng *rand.Rand, dim int, cfg Config) []float64 {
 	x := make([]float64, dim)
+	randPointInto(rng, x, cfg)
+	return x
+}
+
+// randPointInto is randPoint drawing into x, with the same draw order.
+func randPointInto(rng *rand.Rand, x []float64, cfg Config) {
 	for i := range x {
 		b := cfg.bound(i)
 		if b.isFull() {
@@ -266,7 +274,6 @@ func randPoint(rng *rand.Rand, dim int, cfg Config) []float64 {
 			x[i] = b.Lo + rng.Float64()*(b.Hi-b.Lo)
 		}
 	}
-	return x
 }
 
 // randFiniteFloat returns a float64 drawn uniformly over the finite

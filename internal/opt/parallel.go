@@ -56,16 +56,6 @@ type ParallelConfig struct {
 	// determinism contract — partial results are whatever each start had
 	// sampled when the context fired.
 	Ctx context.Context
-	// Batch, when non-nil, supplies each start's Config.Batch: a batch
-	// objective constructed alongside objective(start) that must
-	// evaluate exactly the same function (typically a lane-parallel
-	// sweep of the same program instance, sharing the scalar wrapper's
-	// monitor family). Like the scalar factory it is invoked once per
-	// executed start, from the worker goroutine that runs it; under
-	// StopAtZero the driver wraps it with the same short-circuit as the
-	// scalar objective, so unconsumable starts stop paying for lane
-	// sweeps too.
-	Batch func(start int) BatchObjective
 }
 
 func (c ParallelConfig) workers() int {
@@ -175,10 +165,6 @@ func ParallelStarts(backend Minimizer, objective func(start int) Objective, dim 
 					tr = &Trace{}
 				}
 				obj := objective(s)
-				var batch BatchObjective
-				if cfg.Batch != nil {
-					batch = cfg.Batch(s)
-				}
 				if cfg.StopAtZero {
 					// Cooperative cancellation for in-flight starts: once a
 					// lower-index start holds an accepted zero, this start's
@@ -195,18 +181,6 @@ func ParallelStarts(backend Minimizer, objective func(start int) Objective, dim 
 						}
 						return real(x)
 					}
-					if batch != nil {
-						realB := batch
-						batch = BatchFunc(func(xs [][]float64, out []float64) {
-							if int64(s) > minZero.Load() {
-								for i := range xs {
-									out[i] = math.Inf(1)
-								}
-								return
-							}
-							realB.Eval(xs, out)
-						})
-					}
 				}
 				r := backend.Minimize(obj, dim, Config{
 					Seed:       cfg.Seed + int64(s)*cfg.stride(),
@@ -215,7 +189,6 @@ func ParallelStarts(backend Minimizer, objective func(start int) Objective, dim 
 					StopAtZero: cfg.StopAtZero,
 					Trace:      tr,
 					Ctx:        cfg.Ctx,
-					Batch:      batch,
 				})
 				res.Result = r
 				res.Trace = tr

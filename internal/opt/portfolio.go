@@ -14,9 +14,8 @@ import "math"
 // routes through the portfolio's own evaluator, so budget accounting,
 // tracing, best-so-far tracking, StopAtZero, and cancellation are the
 // standard evaluator semantics — and, like every other backend, the
-// whole schedule is a pure function of (Config minus Batch), so results
-// are bit-identical batched vs scalar, for any lane width, and under
-// any ParallelStarts worker count.
+// whole schedule is a pure function of Config, so results are
+// bit-identical under any ParallelStarts worker count.
 
 // StageResult attributes one portfolio stage: the evaluations one
 // backend consumed across all of its schedule slices, and what they
@@ -38,10 +37,8 @@ type StageResult struct {
 
 // plateauDetector measures the best-objective decay rate over a sliding
 // evaluation window. It is fed the (evals, best) bookkeeping stream at
-// schedule-slice boundaries; because that stream is itself identical
-// for scalar and batched evaluation, the detector is batch-aware by
-// construction. Once a full window elapses with a relative decay below
-// ratio, the stream is declared stalled.
+// schedule-slice boundaries. Once a full window elapses with a relative
+// decay below ratio, the stream is declared stalled.
 type plateauDetector struct {
 	window    int
 	ratio     float64
@@ -170,30 +167,15 @@ func (p *Portfolio) Minimize(obj Objective, dim int, cfg Config) Result {
 	ratio := p.ratio()
 	names, backends := p.lineup()
 
-	// Every inner backend samples through the portfolio's evaluator.
-	// The scalar hook gates on the outer schedule (budget, zero,
-	// cancellation) exactly like eval itself; the batch hook reuses
-	// evalBatch — outer truncation, consumed-prefix bookkeeping, the
-	// stop-at-zero cut — and parks the unconsumed tail at +Inf, which is
-	// precisely what the scalar hook would have returned for those
-	// entries. Inner backends therefore observe identical value streams
-	// on both paths, which is what keeps the whole schedule
-	// batch-invariant.
+	// Every inner backend samples through the portfolio's evaluator,
+	// gated on the outer schedule (budget, zero, cancellation) exactly
+	// like eval itself.
 	innerObj := Objective(func(x []float64) float64 {
 		if e.done() {
 			return math.Inf(1)
 		}
 		return e.eval(x)
 	})
-	var innerBatch BatchObjective
-	if cfg.Batch != nil {
-		innerBatch = BatchFunc(func(xs [][]float64, out []float64) {
-			n := e.evalBatch(xs, out)
-			for i := n; i < len(xs); i++ {
-				out[i] = math.Inf(1)
-			}
-		})
-	}
 
 	stages := make([]StageResult, len(names))
 	for i := range stages {
@@ -219,7 +201,6 @@ func (p *Portfolio) Minimize(obj Objective, dim int, cfg Config) Result {
 			Bounds:     cfg.Bounds,
 			StopAtZero: cfg.StopAtZero,
 			Ctx:        cfg.Ctx,
-			Batch:      innerBatch,
 		}
 		before, beforeBest := e.evals, e.bestF
 		if lm, ok := backends[stage].(LocalMinimizer); ok && e.bestX != nil {

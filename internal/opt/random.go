@@ -15,10 +15,14 @@ func (r *RandomSearch) Name() string { return "RandomSearch" }
 func (r *RandomSearch) Minimize(obj Objective, dim int, cfg Config) Result {
 	rng := newRand(cfg.Seed ^ 0x2545f4914f6cdd1d)
 	e := newEvaluator(obj, cfg, 4000*dim)
+	// One buffer serves every sample: the evaluator copies the points
+	// it keeps (the best point, trace samples).
+	x := make([]float64, dim)
 	iters := 0
 	for !e.done() {
 		iters++
-		e.eval(randPoint(rng, dim, cfg))
+		randPointInto(rng, x, cfg)
+		e.eval(x)
 	}
 	return e.result(iters)
 }
@@ -35,7 +39,8 @@ func (r *RandomSearch) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Res
 	iters := 1
 	for !e.done() {
 		iters++
-		e.eval(randPoint(rng, len(x0), cfg))
+		randPointInto(rng, x, cfg)
+		e.eval(x)
 	}
 	return e.result(iters)
 }

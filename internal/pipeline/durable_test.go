@@ -217,6 +217,69 @@ func TestCrashRequeueFromDurableOffset(t *testing.T) {
 	eng.Shutdown(ctx)
 }
 
+// TestJournalReplaysRetiredSpecFields: a journal written before the
+// lanes, engine and stallRatio knobs were retired holds submit records
+// whose specs still carry them. /v1 now refuses those fields, but a
+// journal replay must not: the job requeues, completes, and produces
+// the same bytes as the spec without them.
+func TestJournalReplaysRetiredSpecFields(t *testing.T) {
+	const spec = `"analysis": "bva", "seed": 3, "starts": 2, "evals": 300, "workers": 1, "bounds": [{"lo": -10, "hi": 10}]`
+	// fig2.fpl, JSON-escaped.
+	const src = `func prog(x double) {\n  if (x <= 1.0) { x = x + 1.0; }\n  var y double = x * x;\n  if (y <= 4.0) { x = x - 1.0; }\n}\n`
+	job := func(extra string) string {
+		return `{"source": "` + src + `", "spec": {` + spec + extra + `}}`
+	}
+
+	var clean []pipeline.Job
+	if err := json.Unmarshal([]byte(`[`+job("")+`]`), &clean); err != nil {
+		t.Fatal(err)
+	}
+	golden := pipeline.New(2).RunBatch(context.Background(), clean)
+	if len(golden) != 1 || golden[0].Error != "" {
+		t.Fatalf("golden run: %+v", golden)
+	}
+	want := norm(pipeline.MarshalResult(golden[0]))
+
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := `{"jobs": [` + job(`, "lanes": 64, "engine": "vm", "stallRatio": 0.05`) +
+		`], "created": "2026-01-02T03:04:05Z"}`
+	if err := j.Append(journal.Record{Type: "submit", Job: "job-1", Data: json.RawMessage(submit)}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := pipeline.OpenStore(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	eng := pipeline.NewJobEngine(pipeline.New(2))
+	eng.Store = store
+	if restored, requeued := eng.Recover(store.Recovered()); restored != 1 || requeued != 1 {
+		t.Fatalf("restored %d, requeued %d (want 1, 1)", restored, requeued)
+	}
+	rec, ok := eng.Get("job-1")
+	if !ok {
+		t.Fatal("journaled job missing from the table")
+	}
+	got, status := collectJob(t, rec)
+	if status != pipeline.JobCompleted {
+		t.Fatalf("replayed job ended %q", status)
+	}
+	if len(got) != 1 || got[0] != want {
+		t.Errorf("replayed result differs from the spec without the retired fields:\n%s\nvs\n%v", want, got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	eng.Shutdown(ctx)
+}
+
 // TestPanicIsolation: a panicking job fails alone — with a stable
 // stack digest in its error — while the rest of the batch completes.
 func TestPanicIsolation(t *testing.T) {

@@ -70,6 +70,14 @@ func validationProblem(w http.ResponseWriter, detail string, errs []*analysis.Sp
 	writeProblem(w, http.StatusBadRequest, problemValidation, "invalid request", detail, errs...)
 }
 
+// plural renders a count with its noun, plural unless the count is 1.
+func plural(n int, noun string) string {
+	if n == 1 {
+		return "1 " + noun
+	}
+	return strconv.Itoa(n) + " " + noun + "s"
+}
+
 // notFoundProblem writes a 404 with the resource kind and id.
 func notFoundProblem(w http.ResponseWriter, kind, id string) {
 	writeProblem(w, http.StatusNotFound, problemNotFound, kind+" not found",

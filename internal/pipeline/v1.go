@@ -313,7 +313,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs, errs := s.resolveJobs(v1jobs)
 	if len(errs) > 0 {
-		validationProblem(w, fmt.Sprintf("%d validation errors across %d jobs", len(errs), len(v1jobs)), errs)
+		validationProblem(w, plural(len(errs), "validation error")+" across "+plural(len(v1jobs), "job"), errs)
 		return
 	}
 	rec, err := s.Engine.Submit(jobs, timeout)

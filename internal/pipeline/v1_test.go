@@ -467,11 +467,10 @@ func TestV1ProblemGolden(t *testing.T) {
 				{"builtin": "fig2", "spec": {"analysis": "bva",
 				 "bounds": [{"lo": 1, "hi": 0}]}}
 			]}`, http.StatusBadRequest},
-		// Knobs that size allocations before any work runs are capped.
+		// Workers sizes allocations before any work runs, so it is capped.
 		{"problem_resource_limits.json", "POST", "/v1/jobs", `{
 			"jobs": [
-				{"builtin": "fig2", "spec": {"analysis": "coverage", "workers": 200000000, "evals": 10}},
-				{"builtin": "fig2", "spec": {"analysis": "bva", "lanes": 200000000}}
+				{"builtin": "fig2", "spec": {"analysis": "coverage", "workers": 200000000, "evals": 10}}
 			]}`, http.StatusBadRequest},
 		{"problem_no_jobs.json", "POST", "/v1/jobs", `{}`, http.StatusBadRequest},
 		{"problem_bad_timeout.json", "POST", "/v1/jobs",
@@ -602,11 +601,11 @@ func TestJobCapacityEvictionOnlyOnSubmit(t *testing.T) {
 	doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+long.ID, "")
 }
 
-// TestV1RetiredSpecFields: the retired engine and portfolio stall
-// selectors are unknown spec fields, refused like any other.
+// TestV1RetiredSpecFields: the retired engine, portfolio stall and
+// lanes knobs are unknown spec fields, refused like any other.
 func TestV1RetiredSpecFields(t *testing.T) {
 	_, ts := v1Server(t, 1)
-	for _, field := range []string{`"engine": "vm"`, `"stallRatio": 0.05`} {
+	for _, field := range []string{`"engine": "vm"`, `"stallRatio": 0.05`, `"lanes": 64`} {
 		resp, data := doJSON(t, "POST", ts.URL+"/v1/jobs",
 			`{"jobs": [{"builtin": "fig2", "spec": {"analysis": "bva", `+field+`}}]}`)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown field") {

@@ -34,17 +34,6 @@ type Monitor interface {
 	Value() float64
 }
 
-// FPOpFree is an optional marker interface a Monitor may implement to
-// declare that its FPOp method is a pure no-op: it observes nothing and
-// never requests a stop. Batch engines use the declaration to skip the
-// per-lane FPOp dispatch on arithmetic instructions — the dominant cost
-// of a lane sweep — which cannot change observable behavior when the
-// call would have done nothing. Monitors whose FPOp ever records state
-// or returns true must not implement it (or must return false).
-type FPOpFree interface {
-	FPOpFree() bool
-}
-
 // NopMonitor ignores all observations and reports w = 0. It is used to
 // run a port uninstrumented (plain concrete execution).
 type NopMonitor struct{}
@@ -105,20 +94,10 @@ type Program struct {
 	// linux/amd64 host). It leaves together with the native ports.
 	NoPanicStop bool
 
-	// RunBatch, when non-nil, evaluates the program on len(xs) inputs
-	// at once, lane l observed by mons[l] — the lane-parallel entry
-	// point of the batch evaluation contract. It owns the whole
-	// monitor bracket: reset every monitor, execute, and write lane
-	// l's weak distance to out[l], so engines can devirtualize the
-	// per-lane reset/collect loops alongside their observation
-	// dispatch. The contract is bit-identity with the serial path:
-	// out[l] must be exactly what Execute(mons[l], xs[l]) returns, and
-	// every monitor must be left in exactly the state len(xs) serial
-	// Run calls would have (same observation sequences, same early
-	// stops, same budget aborts). Engines without lane support leave
-	// it nil; ExecuteBatch then falls back to serial Execute calls.
-	// Like Run on a stateful program, RunBatch is single-goroutine:
-	// callers needing concurrency take Instances.
+	// RunBatch is unused: nothing in this module sets it, and every
+	// evaluation goes through Run. It stays only because the benchmark
+	// harness (perfbench/layers.go, a separate module) still wraps it
+	// when non-nil; it goes once the harness stops reading it.
 	RunBatch func(mons []Monitor, xs [][]float64, out []float64)
 
 	// ctx is the reusable execution context of a stateful program.
@@ -183,21 +162,6 @@ func (p *Program) runProtected(ctx *Ctx, x []float64) {
 		}
 	}()
 	p.Run(ctx, x)
-}
-
-// ExecuteBatch runs the program on every input of xs, writing lane l's
-// weak distance — mons[l].Value(), exactly what Execute(mons[l], xs[l])
-// returns — to out[l]. With RunBatch wired it is one lane-parallel
-// sweep; otherwise it degrades to len(xs) serial Execute calls, so
-// callers can submit batches unconditionally.
-func (p *Program) ExecuteBatch(mons []Monitor, xs [][]float64, out []float64) {
-	if p.RunBatch == nil {
-		for i := range xs {
-			out[i] = p.Execute(mons[i], xs[i])
-		}
-		return
-	}
-	p.RunBatch(mons, xs, out)
 }
 
 // WeakDistance returns the weak-distance objective W(x) induced by the
