@@ -391,7 +391,7 @@ func benchWorkerCounts() []int {
 // BenchmarkParallelBoundary measures the parallel multi-start engine on
 // boundary value analysis of the glibc sin port (Starts restarts of the
 // §4.2 minimization): the serial path (workers=1) against the full
-// worker pool. Findings are identical in both runs — per-start traces
+// worker pool. Findings are identical in both runs — per-start zeros
 // merge in start order — so the ratio is pure wall-clock speedup.
 func BenchmarkParallelBoundary(b *testing.B) {
 	p := libm.SinProgram()

@@ -13,8 +13,10 @@
 //	paperrepro -fig 7          # characteristic-function ablation
 //	paperrepro -fig 9          # sin condition-discovery series
 //
-// Every §6 program is a native port, so the output is the same on every
-// host: -workers changes wall-clock time only, and `paperrepro -all
+// -workers sets how many goroutines run the restarts of Table 1, the
+// sin study (Table 2, Fig. 9) and the GSL study (Tables 3-5); 0 uses
+// all CPUs. Every §6 program is a native port, so the output is the
+// same on every host and for every -workers value, and `paperrepro -all
 // -seed 1` is pinned byte for byte (Table 3's T column aside) by
 // testdata/golden/paper/all_seed1.txt.
 package main

@@ -43,7 +43,7 @@ type BoundaryOptions struct {
 	KeepValues int
 	// Workers sets multi-start parallelism: 0 selects runtime.NumCPU(),
 	// 1 runs one worker. The report is identical for every
-	// value — per-start traces are merged in start order, so parallelism
+	// value — per-start zeros are merged in start order, so parallelism
 	// only changes wall-clock time.
 	Workers int
 }
@@ -153,16 +153,17 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 	}
 
 	// Every restart is independent: run them on the worker pool, each
-	// with its own program instance, monitor, and trace, then fold the
-	// traces in start order — the exact sample stream the serial loop
-	// produced. Starts run in worker-sized batches so that at most one
-	// batch of traces is retained at a time (the fold is a pure
-	// concatenation in start order, so batching never changes the
-	// report; Workers=1 keeps the serial loop's one-trace peak).
+	// with its own program instance and monitor, each recording the
+	// zeros its objective returns, then fold the zeros in start order —
+	// the exact zero stream the serial loop produced. Starts run in
+	// worker-sized batches so that at most one batch of zeros is
+	// retained at a time (the fold is in start order, so batching never
+	// changes the report).
 	batchSize := o.Workers
 	if batchSize <= 0 {
 		batchSize = runtime.NumCPU()
 	}
+	zeros := make([]startZeros, batchSize)
 	for base := 0; base < o.starts(); base += batchSize {
 		if ctx.Err() != nil {
 			rep.Canceled = true
@@ -172,30 +173,29 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 		if n > batchSize {
 			n = batchSize
 		}
-		batch := opt.ParallelStarts(o.backend(), func(int) opt.Objective {
+		for i := range zeros {
+			zeros[i].reset()
+		}
+		batch := opt.ParallelStarts(o.backend(), func(s int) opt.Objective {
 			inst := p.Instance()
 			mon := &instrument.Boundary{ULP: o.ULP, HighPrecision: o.HighPrecision, Sites: o.Sites}
-			return opt.Objective(inst.WeakDistance(mon))
+			return zeros[s].record(inst.WeakDistance(mon))
 		}, p.Dim, opt.ParallelConfig{
-			Starts:      n,
-			Workers:     o.Workers,
-			Seed:        o.Seed + int64(base)*7919,
-			SeedStride:  7919,
-			MaxEvals:    o.evalsPerStart(),
-			Bounds:      o.Bounds,
-			StopAtZero:  false, // keep sampling: we want many boundary values
-			RecordTrace: true,
-			Ctx:         ctx,
+			Starts:     n,
+			Workers:    o.Workers,
+			Seed:       o.Seed + int64(base)*7919,
+			SeedStride: 7919,
+			MaxEvals:   o.evalsPerStart(),
+			Bounds:     o.Bounds,
+			StopAtZero: false, // keep sampling: we want many boundary values
+			Ctx:        ctx,
 		})
 
-		for _, sr := range batch {
+		for i, sr := range batch {
 			if sr.Canceled {
 				rep.Canceled = true
 			}
-			if sr.Trace == nil {
-				continue // start never ran (cancelled before launch)
-			}
-			mergeBoundaryTrace(p, sr.Trace, wit, rep, stats, labels, o)
+			mergeBoundaryZeros(p, &zeros[i], sr.Evals, wit, rep, stats, labels, o)
 		}
 	}
 
@@ -212,19 +212,44 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 	return rep
 }
 
-// mergeBoundaryTrace folds one start's sample stream into the report:
-// count samples, attribute every exact zero to its boundary
-// condition(s) by witness replay, and maintain the Fig. 9 progress
-// series. Only zeros need a visit: rep.Samples at a zero is the samples
-// merged before this start plus the zero's 1-based index.
-func mergeBoundaryTrace(p *rt.Program, tr *opt.Trace, wit *instrument.BoundaryWitness,
+// startZeros holds the exact zeros one start's objective returned.
+type startZeros struct {
+	n  []int     // 1-based evaluation index of each zero
+	xs []float64 // zero i's input is xs[i*dim : (i+1)*dim]
+}
+
+// reset empties z, keeping its capacity for the next batch.
+func (z *startZeros) reset() { z.n, z.xs = z.n[:0], z.xs[:0] }
+
+// record wraps w to count evaluations and keep each zero's index and
+// input.
+func (z *startZeros) record(w func([]float64) float64) opt.Objective {
+	evals := 0
+	return func(x []float64) float64 {
+		evals++
+		f := w(x)
+		if f == 0 {
+			z.n = append(z.n, evals)
+			z.xs = append(z.xs, x...)
+		}
+		return f
+	}
+}
+
+// mergeBoundaryZeros folds one start's zeros into the report: attribute
+// every exact zero to its boundary condition(s) by witness replay, and
+// maintain the Fig. 9 progress series. rep.Samples at a zero is the
+// samples merged before this start plus the zero's 1-based index, and
+// after the start it grows by the start's evals.
+func mergeBoundaryZeros(p *rt.Program, z *startZeros, evals int, wit *instrument.BoundaryWitness,
 	rep *BoundaryReport, stats map[ConditionKey]*ConditionStats, labels map[int]string,
 	o BoundaryOptions) {
 	base := rep.Samples
-	for _, smp := range tr.Zeros() {
-		rep.Samples = base + smp.N
+	for i, n := range z.n {
+		x := z.xs[i*p.Dim : (i+1)*p.Dim : (i+1)*p.Dim]
+		rep.Samples = base + n
 		rep.BoundaryValues++
-		p.Execute(wit, smp.X)
+		p.Execute(wit, x)
 		sites := wit.Sites()
 		if len(sites) == 0 {
 			rep.SoundnessViolations++
@@ -234,7 +259,7 @@ func mergeBoundaryTrace(p *rt.Program, tr *opt.Trace, wit *instrument.BoundaryWi
 			if o.Sites != nil && !o.Sites[site] {
 				continue
 			}
-			key := ConditionKey{Site: site, Negative: math.Signbit(smp.X[0])}
+			key := ConditionKey{Site: site, Negative: math.Signbit(x[0])}
 			cs, ok := stats[key]
 			if !ok {
 				cs = &ConditionStats{
@@ -250,18 +275,16 @@ func mergeBoundaryTrace(p *rt.Program, tr *opt.Trace, wit *instrument.BoundaryWi
 				})
 			}
 			cs.Hits++
-			if v := smp.X[0]; v < cs.Min {
+			if v := x[0]; v < cs.Min {
 				cs.Min = v
 			}
-			if v := smp.X[0]; v > cs.Max {
+			if v := x[0]; v > cs.Max {
 				cs.Max = v
 			}
 			if len(cs.Examples) < o.keep() {
-				x := make([]float64, len(smp.X))
-				copy(x, smp.X)
-				cs.Examples = append(cs.Examples, x)
+				cs.Examples = append(cs.Examples, append([]float64(nil), x...))
 			}
 		}
 	}
-	rep.Samples = base + tr.Len()
+	rep.Samples = base + evals
 }

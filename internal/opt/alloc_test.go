@@ -35,29 +35,18 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{"RandomSearch", &RandomSearch{}},
 	}
 	for _, c := range cases {
-		// A traced search (Config.Trace) must stay under the same bound:
-		// recording a sample is two amortized appends.
-		for _, traced := range []bool{false, true} {
-			name := c.name
-			if traced {
-				name += "Traced"
-			}
-			t.Run(name, func(t *testing.T) {
-				cfg := Config{Seed: 1, MaxEvals: evals,
-					Bounds: []Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}}}
-				avg := testing.AllocsPerRun(5, func() {
-					if traced {
-						cfg.Trace = &Trace{}
-					}
-					c.m.Minimize(steadyObjective, 2, cfg)
-				})
-				perEval := avg / evals
-				if perEval > 0.05 {
-					t.Errorf("%s: %.1f allocs per run (%.4f per eval), want ~0 per eval",
-						name, avg, perEval)
-				}
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Seed: 1, MaxEvals: evals,
+				Bounds: []Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}}}
+			avg := testing.AllocsPerRun(5, func() {
+				c.m.Minimize(steadyObjective, 2, cfg)
 			})
-		}
+			perEval := avg / evals
+			if perEval > 0.05 {
+				t.Errorf("%s: %.1f allocs per run (%.4f per eval), want ~0 per eval",
+					c.name, avg, perEval)
+			}
+		})
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 // Basinhopping is the paper's primary MO backend (§4.4, Algorithm 3 step
 // 5): a Markov-chain Monte Carlo sampling over the space of local minimum
 // points (Li & Scheraga 1987; Wales & Doye 1998). Each hop perturbs the
-// current point, runs a local minimization (Nelder–Mead by default), and
-// accepts or rejects the resulting local minimum with the Metropolis
-// criterion.
+// current point, runs a Nelder–Mead local minimization, and accepts or
+// rejects the resulting local minimum with the Metropolis criterion.
 //
 // Perturbations mix two move kinds, both required for floating-point
 // analysis objectives:
@@ -23,8 +22,6 @@ import (
 //
 // The zero value is ready to use.
 type Basinhopping struct {
-	// Local is the inner minimizer; nil selects a default Nelder–Mead.
-	Local LocalMinimizer
 	// Temperature for the Metropolis acceptance; zero selects 1.0.
 	Temperature float64
 	// StepScale is the relative additive perturbation size; zero
@@ -37,13 +34,6 @@ type Basinhopping struct {
 
 // Name implements Minimizer.
 func (b *Basinhopping) Name() string { return "Basinhopping" }
-
-func (b *Basinhopping) local() LocalMinimizer {
-	if b.Local != nil {
-		return b.Local
-	}
-	return &NelderMead{}
-}
 
 func (b *Basinhopping) temperature() float64 {
 	if b.Temperature == 0 {
@@ -77,15 +67,12 @@ func (b *Basinhopping) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Res
 	if hopEvals == 0 {
 		hopEvals = 250 * dim
 	}
-	nm, isNM := b.local().(*NelderMead)
-	var scr *nmScratch
-	if isNM {
-		scr = newNMScratch(dim)
-	}
+	nm := &NelderMead{}
+	scr := newNMScratch(dim)
 
-	// localSearch refines x under the shared evaluator budget, leaving
-	// the refined point in dst (so the hop loop can ping-pong two
-	// persistent buffers instead of allocating per hop).
+	// localSearch refines x with Nelder–Mead under the shared evaluator
+	// budget, leaving the refined point in dst (so the hop loop can
+	// ping-pong two persistent buffers instead of allocating per hop).
 	localSearch := func(x, dst []float64) float64 {
 		remaining := e.max - e.evals
 		if remaining <= 0 {
@@ -96,24 +83,12 @@ func (b *Basinhopping) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Res
 		if budget > remaining {
 			budget = remaining
 		}
-		if isNM {
-			// Run Nelder–Mead against the shared evaluator directly so
-			// the trace, budget, and scratch stay unified.
-			saved := e.max
-			e.max = e.evals + budget
-			nm.run(e, x, cfg, scr)
-			e.max = saved
-			copy(dst, e.bestX)
-			return e.bestF
-		}
-		sub := cfg
-		sub.MaxEvals = budget
-		sub.Trace = cfg.Trace
-		r := b.local().MinimizeFrom(func(y []float64) float64 {
-			return e.eval(y)
-		}, x, sub)
-		copy(dst, r.X)
-		return r.F
+		saved := e.max
+		e.max = e.evals + budget
+		nm.run(e, x, cfg, scr)
+		e.max = saved
+		copy(dst, e.bestX)
+		return e.bestF
 	}
 
 	cur := make([]float64, dim)

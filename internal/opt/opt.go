@@ -22,6 +22,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 )
 
 // Objective is a function to be minimized. Implementations must be safe
@@ -84,9 +85,6 @@ type Config struct {
 	// StopAtZero halts as soon as an exact zero is sampled — sound for
 	// weak distances per Def. 3.1(a); see the §4.4 termination remark.
 	StopAtZero bool
-	// Trace, when non-nil, records every objective evaluation (used to
-	// regenerate the sampling figures 3(c), 4(c) and 9).
-	Trace *Trace
 	// Ctx, when non-nil, cancels the minimization cooperatively: the
 	// shared evaluator consults it before every objective evaluation, so
 	// a cancellation or deadline lands within ONE evaluation — no more
@@ -94,6 +92,22 @@ type Config struct {
 	// internal phase. Nil means no cancellation (and no per-eval
 	// overhead).
 	Ctx context.Context
+	// gate, set only by ParallelStarts, stops a start whose result can
+	// no longer be consumed at its next evaluation.
+	gate startGate
+}
+
+// startGate links one ParallelStarts start to its schedule's lowest
+// accepted zero. The zero value never drains.
+type startGate struct {
+	start   int64
+	minZero *atomic.Int64
+}
+
+// drained reports that a lower-index start holds an accepted zero, so
+// the equivalent serial loop would never have reached this start.
+func (g startGate) drained() bool {
+	return g.minZero != nil && g.start > g.minZero.Load()
 }
 
 func (c Config) maxEvals(def int) int {
@@ -146,7 +160,7 @@ type LocalMinimizer interface {
 var ErrDimension = errors.New("opt: dimension must be >= 1")
 
 // evaluator wraps an objective with budget accounting, best-so-far
-// tracking, trace recording, and the stop-at-zero contract. All backends
+// tracking, and the stop-at-zero contract. All backends
 // route their samples through one evaluator so Result bookkeeping is
 // uniform.
 type evaluator struct {
@@ -159,6 +173,7 @@ type evaluator struct {
 	hitZero  bool
 	ctxDone  <-chan struct{}
 	canceled bool
+	drained  bool
 }
 
 func newEvaluator(obj Objective, cfg Config, defMax int) *evaluator {
@@ -174,10 +189,14 @@ func newEvaluator(obj Objective, cfg Config, defMax int) *evaluator {
 	return e
 }
 
-// cancelled reports (and latches) whether Config.Ctx is done. With no
-// context configured it is a nil check.
-func (e *evaluator) cancelled() bool {
-	if e.canceled {
+// stopped reports (and latches) whether Config.Ctx is done or the
+// start was drained. With neither configured it is two nil checks.
+func (e *evaluator) stopped() bool {
+	if e.canceled || e.drained {
+		return true
+	}
+	if e.cfg.gate.drained() {
+		e.drained = true
 		return true
 	}
 	if e.ctxDone == nil {
@@ -192,22 +211,19 @@ func (e *evaluator) cancelled() bool {
 	}
 }
 
-// eval samples the objective at x, recording the sample. NaN objective
-// values are treated as +Inf so they never look optimal. Once the
-// configured context is done, eval stops calling the objective entirely
-// (returning +Inf uncounted), so cancellation lands within one
-// evaluation even for backends that sample between done() checks.
+// eval samples the objective at x. NaN objective values are treated as
+// +Inf so they never look optimal. Once the configured context is done
+// or the start is drained, eval stops calling the objective entirely
+// (returning +Inf uncounted), so the stop lands within one evaluation
+// even for backends that sample between done() checks.
 func (e *evaluator) eval(x []float64) float64 {
-	if e.cancelled() {
+	if e.stopped() {
 		return math.Inf(1)
 	}
 	e.evals++
 	f := e.obj(x)
 	if math.IsNaN(f) {
 		f = math.Inf(1)
-	}
-	if e.cfg.Trace != nil {
-		e.cfg.Trace.record(x, f)
 	}
 	if f < e.bestF || e.bestX == nil {
 		e.bestF = f
@@ -235,9 +251,10 @@ func (e *evaluator) evalBatch(xs [][]float64, out []float64) int {
 }
 
 // done reports whether the search must stop (budget exhausted, zero
-// found under the stop-at-zero contract, or context cancelled).
+// found under the stop-at-zero contract, context cancelled, or start
+// drained).
 func (e *evaluator) done() bool {
-	return e.evals >= e.max || e.hitZero || e.cancelled()
+	return e.evals >= e.max || e.hitZero || e.stopped()
 }
 
 func (e *evaluator) result(iters int) Result {

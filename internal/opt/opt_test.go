@@ -162,34 +162,6 @@ func TestSeedChangesSampling(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsAllEvaluations(t *testing.T) {
-	tr := &Trace{}
-	cfg := Config{Seed: 5, MaxEvals: 300, Bounds: []Bound{{-10, 10}}, Trace: tr}
-	r := (&DifferentialEvolution{}).Minimize(sphere, 1, cfg)
-	if tr.Len() != r.Evals {
-		t.Errorf("trace length %d != evals %d", tr.Len(), r.Evals)
-	}
-	ss := tr.Samples()
-	for i, s := range ss {
-		if s.N != i+1 {
-			t.Fatalf("sample %d has N=%d", i, s.N)
-		}
-		if len(s.X) != 1 {
-			t.Fatalf("sample %d has dim %d", i, len(s.X))
-		}
-	}
-}
-
-func TestTraceZeros(t *testing.T) {
-	tr := &Trace{}
-	tr.record([]float64{1}, 0.5)
-	tr.record([]float64{2}, 0)
-	tr.record([]float64{3}, 0)
-	if got := len(tr.Zeros()); got != 2 {
-		t.Errorf("Zeros() returned %d, want 2", got)
-	}
-}
-
 func TestBoundsRespected(t *testing.T) {
 	for _, m := range globalBackends() {
 		violated := false

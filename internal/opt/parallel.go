@@ -2,7 +2,6 @@ package opt
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,8 +17,10 @@ import (
 type ParallelConfig struct {
 	// Starts is the number of independent minimization restarts.
 	Starts int
-	// Workers bounds the goroutine pool; zero or negative selects
-	// runtime.NumCPU(). Workers only controls scheduling, never results.
+	// Workers bounds the pool; zero or negative selects
+	// runtime.NumCPU(). The calling goroutine is one of the workers, so
+	// a run starts Workers-1 goroutines. Workers only controls
+	// scheduling, never results.
 	Workers int
 	// Seed is the root seed. Start s runs with Seed + s*SeedStride, the
 	// same per-start derivation the serial multi-start loops used.
@@ -33,15 +34,12 @@ type ParallelConfig struct {
 	// Bounds restricts the search space per dimension.
 	Bounds []Bound
 	// StopAtZero makes each start halt on an exact zero AND drains the
-	// queue: once some start finds an accepted zero, pending starts with
-	// a HIGHER index are skipped (a serial loop would never have reached
-	// them). Pending starts with a lower index still run, so the
-	// lowest-index zero — the one a serial loop reports — is always
-	// discovered.
+	// queue: once some start finds an accepted zero, starts with a
+	// HIGHER index are skipped, and those already running stop at their
+	// next evaluation (a serial loop would never have reached them).
+	// Starts with a lower index still run, so the lowest-index zero —
+	// the one a serial loop reports — is always discovered.
 	StopAtZero bool
-	// RecordTrace allocates a per-start Trace recording every objective
-	// evaluation of that start (merged by callers in start order).
-	RecordTrace bool
 	// Accept, when non-nil, is consulted on every exact zero before it
 	// may drain the queue (the §5.2 membership guard: spurious zeros of
 	// a defective weak distance must not cancel the remaining starts).
@@ -83,13 +81,12 @@ func (c ParallelConfig) stride() int64 {
 type StartResult struct {
 	// Start is the start index (results are returned ordered by it).
 	Start int
-	// Result is the backend's outcome; zero-valued when Skipped.
+	// Result is the backend's outcome: zero-valued for a start skipped
+	// before it ran, partial for one drained mid-run.
 	Result
-	// Trace holds the start's samples when RecordTrace was set.
-	Trace *Trace
-	// Skipped reports that the start was drained before running: an
-	// accepted zero at a lower index made it unreachable for the
-	// equivalent serial loop.
+	// Skipped reports that the start was drained, before it ran or at
+	// an evaluation: an accepted zero at a lower index made it
+	// unreachable for the equivalent serial loop.
 	Skipped bool
 	// ZeroAccepted reports that the start sampled an exact zero and the
 	// Accept guard (or its absence) admitted it.
@@ -99,8 +96,8 @@ type StartResult struct {
 // ParallelStarts runs Starts independent minimizations of per-start
 // objectives over a goroutine pool — the paper's multi-start MO driver
 // (§4.1) parallelized across restarts, which are embarrassingly
-// parallel: each start has its own derived seed, its own objective
-// instance (and therefore its own monitor state), and its own trace.
+// parallel: each start has its own derived seed and its own objective
+// instance (and therefore its own monitor state).
 //
 // The objective factory is invoked once per executed start, from the
 // worker goroutine that runs it. It must return an objective whose
@@ -111,12 +108,12 @@ type StartResult struct {
 // Results are returned indexed by start. Determinism contract: every
 // start at or below the lowest accepted zero runs to completion with a
 // Result identical for every Workers value (without StopAtZero that is
-// every start). Starts above that zero are timing-dependent — skipped,
-// or cancelled mid-run with garbage Results — and must never be
-// consumed. Callers merge in start order and stop at the first
-// FoundZero slot (or consume everything when StopAtZero is off), which
-// makes the merged report bit-identical to the historical serial
-// loops.
+// every start). Starts above that zero are timing-dependent — run to
+// completion, or Skipped before they ran or at an evaluation with a
+// partial Result — and must never be consumed. Callers merge in start
+// order and stop at the first FoundZero slot (or consume everything
+// when StopAtZero is off), which makes the merged report bit-identical
+// to the historical serial loops.
 func ParallelStarts(backend Minimizer, objective func(start int) Objective, dim int, cfg ParallelConfig) []StartResult {
 	n := cfg.Starts
 	out := make([]StartResult, n)
@@ -139,80 +136,72 @@ func ParallelStarts(backend Minimizer, objective func(start int) Objective, dim 
 	}
 	close(jobs)
 
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range jobs {
-				res := &out[s]
-				if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-					// Don't pay for objective construction (a program
-					// instance per start) once the run is dead; Minimize
-					// would return immediately anyway.
-					res.Canceled = true
-					continue
-				}
-				if cfg.StopAtZero && int64(s) > minZero.Load() {
-					// A lower-index start already found an accepted
-					// zero: the serial loop would have stopped before
-					// reaching this start.
+	work := func() {
+		for s := range jobs {
+			res := &out[s]
+			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+				// Don't pay for objective construction (a program
+				// instance per start) once the run is dead; Minimize
+				// would return immediately anyway.
+				res.Canceled = true
+				continue
+			}
+			var gate startGate
+			if cfg.StopAtZero {
+				gate = startGate{start: int64(s), minZero: &minZero}
+				if gate.drained() {
 					res.Skipped = true
 					continue
 				}
-				var tr *Trace
-				if cfg.RecordTrace {
-					tr = &Trace{}
-				}
-				obj := objective(s)
-				if cfg.StopAtZero {
-					// Cooperative cancellation for in-flight starts: once a
-					// lower-index start holds an accepted zero, this start's
-					// result can never be consumed (the merge stops at that
-					// zero), so stop paying for program executions and burn
-					// the remaining budget on a constant. minZero only
-					// decreases, so a start that short-circuits once stays
-					// unconsumable forever — determinism of consumed
-					// results is unaffected.
-					real := obj
-					obj = func(x []float64) float64 {
-						if int64(s) > minZero.Load() {
-							return math.Inf(1)
-						}
-						return real(x)
-					}
-				}
-				r := backend.Minimize(obj, dim, Config{
-					Seed:       cfg.Seed + int64(s)*cfg.stride(),
-					MaxEvals:   cfg.MaxEvals,
-					Bounds:     cfg.Bounds,
-					StopAtZero: cfg.StopAtZero,
-					Trace:      tr,
-					Ctx:        cfg.Ctx,
-				})
-				res.Result = r
-				res.Trace = tr
-				if !r.FoundZero {
-					continue
-				}
-				accepted := true
-				if cfg.Accept != nil {
-					acceptMu.Lock()
-					accepted = cfg.Accept(s, r)
-					acceptMu.Unlock()
-				}
-				res.ZeroAccepted = accepted
-				if accepted && cfg.StopAtZero {
-					for {
-						cur := minZero.Load()
-						if int64(s) >= cur || minZero.CompareAndSwap(cur, int64(s)) {
-							break
-						}
+			}
+			r := backend.Minimize(objective(s), dim, Config{
+				Seed:       cfg.Seed + int64(s)*cfg.stride(),
+				MaxEvals:   cfg.MaxEvals,
+				Bounds:     cfg.Bounds,
+				StopAtZero: cfg.StopAtZero,
+				Ctx:        cfg.Ctx,
+				gate:       gate,
+			})
+			res.Result = r
+			if gate.drained() {
+				// A lower-index zero landed while this start ran; its
+				// evaluator stopped at the next evaluation. minZero
+				// only decreases, so no consumed start is ever drained.
+				res.Skipped = true
+				continue
+			}
+			if !r.FoundZero {
+				continue
+			}
+			accepted := true
+			if cfg.Accept != nil {
+				acceptMu.Lock()
+				accepted = cfg.Accept(s, r)
+				acceptMu.Unlock()
+			}
+			res.ZeroAccepted = accepted
+			if accepted && cfg.StopAtZero {
+				for {
+					cur := minZero.Load()
+					if int64(s) >= cur || minZero.CompareAndSwap(cur, int64(s)) {
+						break
 					}
 				}
 			}
+		}
+	}
+
+	// The calling goroutine runs the last worker: its stack has already
+	// grown, and a one-worker run starts no goroutine at all.
+	var wg sync.WaitGroup
+	for w := 1; w < cfg.workers(); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return out
 }

@@ -3,7 +3,10 @@ package opt_test
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/opt"
 )
@@ -44,27 +47,41 @@ func TestParallelStartsMatchesSerialBackend(t *testing.T) {
 }
 
 // TestParallelStartsWorkerInvariance verifies the core determinism
-// contract: identical per-start results for every worker count.
+// contract: identical per-start results, and identical evaluations
+// seen by each start's objective, for every worker count.
 func TestParallelStartsWorkerInvariance(t *testing.T) {
-	run := func(workers int) []opt.StartResult {
-		return opt.ParallelStarts(&opt.Basinhopping{}, func(int) opt.Objective { return flatAbs(9) },
-			1, opt.ParallelConfig{
-				Starts: 8, Workers: workers, Seed: 7, SeedStride: 1000003,
-				MaxEvals: 400, Bounds: []opt.Bound{{Lo: -20, Hi: 20}},
-				RecordTrace: true,
-			})
+	run := func(workers int) ([]opt.StartResult, [][]int) {
+		zeros := make([][]int, 8)
+		res := opt.ParallelStarts(&opt.Basinhopping{}, func(s int) opt.Objective {
+			obj, n := flatAbs(9), 0
+			return func(x []float64) float64 {
+				n++
+				f := obj(x)
+				if f == 0 {
+					zeros[s] = append(zeros[s], n)
+				}
+				return f
+			}
+		}, 1, opt.ParallelConfig{
+			Starts: 8, Workers: workers, Seed: 7, SeedStride: 1000003,
+			MaxEvals: 400, Bounds: []opt.Bound{{Lo: -20, Hi: 20}},
+		})
+		return res, zeros
 	}
-	base := run(1)
+	base, baseZeros := run(1)
 	for _, w := range []int{2, 8} {
-		got := run(w)
+		got, gotZeros := run(w)
 		for s := range base {
 			if !reflect.DeepEqual(got[s].Result, base[s].Result) {
 				t.Errorf("workers=%d start %d: %+v != %+v", w, s, got[s].Result, base[s].Result)
 			}
-			if !reflect.DeepEqual(got[s].Trace.Samples(), base[s].Trace.Samples()) {
-				t.Errorf("workers=%d start %d: traces differ", w, s)
+			if !reflect.DeepEqual(gotZeros[s], baseZeros[s]) {
+				t.Errorf("workers=%d start %d: zeros at evaluations %v != %v", w, s, gotZeros[s], baseZeros[s])
 			}
 		}
+	}
+	if len(baseZeros[0]) == 0 {
+		t.Fatal("start 0 sampled no zero; the zero comparison checks nothing")
 	}
 }
 
@@ -98,6 +115,62 @@ func TestParallelStartsDrain(t *testing.T) {
 				t.Errorf("workers=%d: start %d cannot find a zero", w, s)
 			}
 		}
+	}
+}
+
+// TestParallelStartsDrainStopsRunningStart verifies that a start
+// already running when a lower-index start finds an accepted zero stops
+// at its next evaluation and reports Skipped, instead of running out
+// its budget.
+func TestParallelStartsDrainStopsRunningStart(t *testing.T) {
+	const budget = 1000
+	started := make(chan struct{})
+	var once sync.Once
+	factory := func(start int) opt.Objective {
+		if start == 0 {
+			// Zero everywhere, but only once start 1 is running, so
+			// start 1 is always in flight when the zero lands.
+			return func([]float64) float64 {
+				<-started
+				return 0
+			}
+		}
+		return func(x []float64) float64 {
+			once.Do(func() { close(started) })
+			time.Sleep(time.Millisecond)
+			return 1 + math.Abs(x[0])
+		}
+	}
+	got := opt.ParallelStarts(&opt.RandomSearch{}, factory, 1, opt.ParallelConfig{
+		Starts: 2, Workers: 2, Seed: 1, MaxEvals: budget,
+		Bounds: []opt.Bound{{Lo: -1, Hi: 1}}, StopAtZero: true,
+	})
+	if !got[0].FoundZero || !got[0].ZeroAccepted || got[0].Skipped {
+		t.Fatalf("start 0 should find an accepted zero: %+v", got[0])
+	}
+	if !got[1].Skipped || got[1].Canceled {
+		t.Errorf("start 1 should be Skipped, not Canceled: %+v", got[1])
+	}
+	if got[1].Evals > budget/10 {
+		t.Errorf("drained start 1 ran %d of its %d evaluations", got[1].Evals, budget)
+	}
+}
+
+// TestParallelStartsOneWorkerStaysOnCaller verifies that a one-worker
+// run evaluates on the calling goroutine and starts no other.
+func TestParallelStartsOneWorkerStaysOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	during := -1
+	opt.ParallelStarts(&opt.RandomSearch{}, func(int) opt.Objective {
+		return func(x []float64) float64 {
+			if during < 0 {
+				during = runtime.NumGoroutine()
+			}
+			return 1
+		}
+	}, 1, opt.ParallelConfig{Starts: 3, Workers: 1, Seed: 1, MaxEvals: 5})
+	if during > before {
+		t.Errorf("%d goroutines during a one-worker run, %d before it", during, before)
 	}
 }
 

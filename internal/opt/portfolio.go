@@ -160,7 +160,7 @@ func (p *Portfolio) lineup() (names []string, stages []Minimizer) {
 // schedule described on Portfolio.
 func (p *Portfolio) Minimize(obj Objective, dim int, cfg Config) Result {
 	e := newEvaluator(obj, cfg, 4000*dim)
-	if e.cancelled() || dim < 1 {
+	if e.stopped() || dim < 1 {
 		return e.result(0)
 	}
 	window := p.window(dim)

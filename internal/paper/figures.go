@@ -61,19 +61,20 @@ func figure(name string, p *rt.Program, w func([]float64) float64, seed int64, e
 		x := float64(i-120) / 20
 		res.Curve = append(res.Curve, CurvePoint{X: x, W: w([]float64{x})})
 	}
-	tr := &opt.Trace{}
-	(&opt.Basinhopping{}).Minimize(opt.Objective(w), 1, opt.Config{
+	res.Samples = make([]SamplePoint, 0, evals)
+	obj := func(x []float64) float64 {
+		f := w(x)
+		res.Samples = append(res.Samples, SamplePoint{N: len(res.Samples) + 1, X: x[0]})
+		if f == 0 {
+			res.ZeroSamples++
+		}
+		return f
+	}
+	(&opt.Basinhopping{}).Minimize(obj, 1, opt.Config{
 		Seed:     seed,
 		MaxEvals: evals,
 		Bounds:   []opt.Bound{{Lo: -10, Hi: 10}},
-		Trace:    tr,
 	})
-	for _, s := range tr.Samples() {
-		res.Samples = append(res.Samples, SamplePoint{N: s.N, X: s.X[0]})
-		if s.F == 0 {
-			res.ZeroSamples++
-		}
-	}
 	return res
 }
 

@@ -30,7 +30,7 @@ func Render(w io.Writer, tables, figs []int, seed int64, budget, workers int) {
 	}
 
 	if slices.Contains(tables, 1) {
-		fmt.Fprintln(w, Table1(seed, budget).Format())
+		fmt.Fprintln(w, table1(seed, budget, workers).Format())
 	}
 	if slices.Contains(figs, 3) {
 		fmt.Fprintln(w, Fig3(seed, budget).Format())

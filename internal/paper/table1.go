@@ -8,12 +8,13 @@ package paper
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/instrument"
 	"repro/internal/opt"
 	"repro/internal/progs"
+	"repro/internal/rt"
 )
 
 // Table1Row is one backend × weak-distance cell pair of Table 1.
@@ -37,7 +38,11 @@ type Table1Result struct {
 
 // Table1 runs the experiment. Budgets are per backend and weak
 // distance; seeds fix the sampling.
-func Table1(seed int64, evals int) *Table1Result {
+func Table1(seed int64, evals int) *Table1Result { return table1(seed, evals, 0) }
+
+// table1 is Table1 with each cell's restarts on workers goroutines
+// (0 = all CPUs); the result is identical for every value.
+func table1(seed int64, evals, workers int) *Table1Result {
 	if evals <= 0 {
 		evals = 60000
 	}
@@ -57,48 +62,53 @@ func Table1(seed int64, evals int) *Table1Result {
 		row := Table1Row{Backend: backend.Name()}
 
 		// Boundary value analysis weak distance.
-		row.BoundaryMin, row.BoundaryZeros = collectZeros(
-			backend, p.WeakDistance(&instrument.Boundary{}),
-			seed+int64(bi)*101, evals)
+		row.BoundaryMin, row.BoundaryZeros = collectZeros(backend, p, func() rt.Monitor {
+			return &instrument.Boundary{}
+		}, seed+int64(bi)*101, evals, workers)
 
 		// Path reachability weak distance.
-		row.PathMin, row.PathZeros = collectZeros(
-			backend, p.WeakDistance(&instrument.Path{Target: pathTarget}),
-			seed+int64(bi)*101+50, evals)
+		row.PathMin, row.PathZeros = collectZeros(backend, p, func() rt.Monitor {
+			return &instrument.Path{Target: pathTarget}
+		}, seed+int64(bi)*101+50, evals, workers)
 
 		res.Rows = append(res.Rows, row)
 	}
 	return res
 }
 
-// collectZeros runs several restarts of the backend, returning the best
-// minimum and the distinct zero points found (capped).
-func collectZeros(backend opt.Minimizer, w func([]float64) float64, seed int64, evals int) (float64, []float64) {
+// collectZeros runs several restarts of the backend on the weak
+// distance of p under a fresh monitor each, returning the best minimum
+// and the sorted distinct zero points found. Neither depends on the
+// order the restarts run in.
+func collectZeros(backend opt.Minimizer, p *rt.Program, monitor func() rt.Monitor, seed int64, evals, workers int) (float64, []float64) {
 	const starts = 12
-	minW := math.Inf(1)
-	zeroSet := map[float64]bool{}
-	for s := 0; s < starts; s++ {
-		tr := &opt.Trace{}
-		cfg := opt.Config{
-			Seed:     seed + int64(s)*9973,
-			MaxEvals: evals / starts,
-			Bounds:   []opt.Bound{{Lo: -100, Hi: 100}},
-			Trace:    tr,
+	found := make([][]float64, starts)
+	results := opt.ParallelStarts(backend, func(s int) opt.Objective {
+		w := p.WeakDistance(monitor())
+		return func(x []float64) float64 {
+			f := w(x)
+			if f == 0 {
+				found[s] = append(found[s], x[0])
+			}
+			return f
 		}
-		r := backend.Minimize(opt.Objective(w), 1, cfg)
+	}, 1, opt.ParallelConfig{
+		Starts:     starts,
+		Workers:    workers,
+		Seed:       seed,
+		SeedStride: 9973,
+		MaxEvals:   evals / starts,
+		Bounds:     []opt.Bound{{Lo: -100, Hi: 100}},
+	})
+	minW := math.Inf(1)
+	for _, r := range results {
 		if r.F < minW {
 			minW = r.F
 		}
-		for _, z := range tr.Zeros() {
-			zeroSet[z.X[0]] = true
-		}
 	}
-	zeros := make([]float64, 0, len(zeroSet))
-	for z := range zeroSet {
-		zeros = append(zeros, z)
-	}
-	sort.Float64s(zeros)
-	return minW, zeros
+	zeros := slices.Concat(found...)
+	slices.Sort(zeros)
+	return minW, slices.Compact(zeros)
 }
 
 // Format renders the table in the paper's layout.

@@ -170,9 +170,21 @@ func (p *Program) runProtected(ctx *Ctx, x []float64) {
 //	double W(double x1, ..., xN) { w = w_init; Prog_w(x...); return w; }
 //
 // construction (Algorithm 2 step 1 / Algorithm 3 step 3).
+//
+// Like the monitor it binds, the objective serves one goroutine at a
+// time, so for a stateless program it owns one context instead of
+// drawing one from the pool on every evaluation.
 func (p *Program) WeakDistance(m Monitor) func(x []float64) float64 {
+	if p.NewInstance != nil {
+		return func(x []float64) float64 {
+			return p.Execute(m, x)
+		}
+	}
+	ctx := &Ctx{mon: m}
 	return func(x []float64) float64 {
-		return p.Execute(m, x)
+		m.Reset()
+		p.runProtected(ctx, x)
+		return m.Value()
 	}
 }
 

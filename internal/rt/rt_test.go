@@ -86,6 +86,23 @@ func TestWeakDistanceClosure(t *testing.T) {
 	}
 }
 
+// TestWeakDistanceRepeatedCalls checks that a stateless port's weak
+// distance resets its monitor and honors early stops on every call, and
+// allocates nothing per call.
+func TestWeakDistanceRepeatedCalls(t *testing.T) {
+	p := progs.Fig2()
+	w := p.WeakDistance(&stopAfter{n: 2})
+	x := []float64{0}
+	for i := 0; i < 3; i++ {
+		if got := w(x); got != 2 {
+			t.Fatalf("call %d saw %v ops, want stop after 2", i, got)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { w(x) }); a != 0 {
+		t.Errorf("%v allocations per call, want 0", a)
+	}
+}
+
 func TestFig2Semantics(t *testing.T) {
 	// Concrete semantics cross-check of the port: input 0 takes both
 	// branches (0 <= 1, then y = 1 <= 4); input 3 takes neither
