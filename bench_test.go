@@ -109,9 +109,12 @@ func BenchmarkTable2_SinBVA(b *testing.B) {
 // Table 3 row; the |O| >= 21 headline).
 func BenchmarkTable3_Bessel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := analysis.DetectOverflows(context.Background(), gsl.BesselProgram(), analysis.OverflowOptions{
-			Seed: int64(i) + 1, EvalsPerRound: 6000,
+		rep, err := analysis.DetectOverflows(context.Background(), gsl.BesselProgram(), analysis.Spec{
+			Seed: int64(i) + 1, Evals: 6000,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(rep.Findings) < 21 {
 			b.Fatalf("found %d overflows, want >= 21", len(rep.Findings))
 		}
@@ -121,9 +124,12 @@ func BenchmarkTable3_Bessel(b *testing.B) {
 // BenchmarkTable3_Hyperg runs Algorithm 3 on the hyperg benchmark.
 func BenchmarkTable3_Hyperg(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := analysis.DetectOverflows(context.Background(), gsl.Hyperg2F0Program(), analysis.OverflowOptions{
-			Seed: int64(i) + 1, EvalsPerRound: 6000,
+		rep, err := analysis.DetectOverflows(context.Background(), gsl.Hyperg2F0Program(), analysis.Spec{
+			Seed: int64(i) + 1, Evals: 6000,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(rep.Findings) == 0 {
 			b.Fatal("no overflows found")
 		}
@@ -133,9 +139,12 @@ func BenchmarkTable3_Hyperg(b *testing.B) {
 // BenchmarkTable3_Airy runs Algorithm 3 on the Airy benchmark.
 func BenchmarkTable3_Airy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := analysis.DetectOverflows(context.Background(), gsl.AiryAiProgram(), analysis.OverflowOptions{
-			Seed: int64(i) + 1, EvalsPerRound: 6000,
+		rep, err := analysis.DetectOverflows(context.Background(), gsl.AiryAiProgram(), analysis.Spec{
+			Seed: int64(i) + 1, Evals: 6000,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(rep.Findings) == 0 {
 			b.Fatal("no overflows found")
 		}
@@ -148,9 +157,12 @@ func BenchmarkTable3_Airy(b *testing.B) {
 func BenchmarkTable4_BesselPerOp(b *testing.B) {
 	p := gsl.BesselProgram()
 	for i := 0; i < b.N; i++ {
-		rep := analysis.DetectOverflows(context.Background(), p, analysis.OverflowOptions{
-			Seed: int64(i) + 1, EvalsPerRound: 6000,
+		rep, err := analysis.DetectOverflows(context.Background(), p, analysis.Spec{
+			Seed: int64(i) + 1, Evals: 6000,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		mon := instrument.NewOverflow()
 		for _, f := range rep.Findings {
 			mon.L = instrument.SiteSet{}
@@ -219,10 +231,10 @@ func BenchmarkAblation_ULPvsReal(b *testing.B) {
 	bounds := []opt.Bound{{Lo: -4, Hi: 4}}
 	run := func(b *testing.B, real bool) {
 		for i := 0; i < b.N; i++ {
-			r := sat.Solve(context.Background(), f, sat.Options{
+			r := sat.Solve(context.Background(), f, core.Options{
 				Seed: int64(i) + 1, Starts: 4, EvalsPerStart: 10000,
-				Bounds: bounds, RealDist: real,
-			})
+				Bounds: bounds,
+			}, real)
 			if r.Verdict != sat.Sat {
 				b.Fatal("constraint not solved")
 			}
@@ -367,10 +379,10 @@ func BenchmarkXSatMotivating(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		r := sat.Solve(context.Background(), f, sat.Options{
+		r := sat.Solve(context.Background(), f, core.Options{
 			Seed: int64(i) + 1, Starts: 4, EvalsPerStart: 10000,
 			Bounds: []opt.Bound{{Lo: -4, Hi: 4}},
-		})
+		}, false)
 		if r.Verdict != sat.Sat {
 			b.Fatal("not solved")
 		}
@@ -398,10 +410,13 @@ func BenchmarkParallelBoundary(b *testing.B) {
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep := analysis.BoundaryValues(context.Background(), p, analysis.BoundaryOptions{
-					Seed: int64(i) + 1, Starts: 32, EvalsPerStart: 4000,
+				rep, err := analysis.BoundaryValues(context.Background(), p, analysis.Spec{
+					Seed: int64(i) + 1, Starts: 32, Evals: 4000,
 					Workers: workers,
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if rep.BoundaryValues == 0 {
 					b.Fatal("no boundary values sampled")
 				}
@@ -424,11 +439,15 @@ func BenchmarkParallelReach(b *testing.B) {
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := analysis.ReachPath(context.Background(), p, target, analysis.ReachOptions{
-					Seed: int64(i) + 1, Starts: 16, EvalsPerStart: 4000,
+				r, err := analysis.ReachPath(context.Background(), p, analysis.Spec{
+					Path: target,
+					Seed: int64(i) + 1, Starts: 16, Evals: 4000,
 					Bounds:  []opt.Bound{{Lo: 3, Hi: 1000}},
 					Workers: workers,
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if r.Found {
 					b.Fatal("unreachable path reported found")
 				}
@@ -445,9 +464,12 @@ func BenchmarkParallelOverflowStall(b *testing.B) {
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep := analysis.DetectOverflows(context.Background(), p, analysis.OverflowOptions{
-					Seed: int64(i) + 1, EvalsPerRound: 6000, Workers: workers,
+				rep, err := analysis.DetectOverflows(context.Background(), p, analysis.Spec{
+					Seed: int64(i) + 1, Evals: 6000, Workers: workers,
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if len(rep.Findings) == 0 {
 					b.Fatal("no overflows found")
 				}
@@ -461,9 +483,12 @@ func BenchmarkParallelOverflowStall(b *testing.B) {
 func BenchmarkCoverageFig2(b *testing.B) {
 	p := progs.Fig2()
 	for i := 0; i < b.N; i++ {
-		rep := analysis.Cover(context.Background(), p, analysis.CoverOptions{
+		rep, err := analysis.Cover(context.Background(), p, analysis.Spec{
 			Seed: int64(i) + 1, Bounds: []opt.Bound{{Lo: -1000, Hi: 1000}},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if rep.Ratio() != 1 {
 			b.Fatalf("coverage %v", rep.Ratio())
 		}

@@ -15,7 +15,8 @@
 //
 // -workers sets how many goroutines run the restarts of Table 1, the
 // sin study (Table 2, Fig. 9) and the GSL study (Tables 3-5); 0 uses
-// all CPUs. Every §6 program is a native port, so the output is the
+// all CPUs, and a value above analysis.MaxWorkers is refused (exit 1)
+// before any search runs. Every §6 program is a native port, so the output is the
 // same on every host and for every -workers value, and `paperrepro -all
 // -seed 1` is pinned byte for byte (Table 3's T column aside) by
 // testdata/golden/paper/all_seed1.txt.
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/analysis"
 	"repro/internal/paper"
 )
 
@@ -48,7 +50,7 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything")
 	seed := flag.Int64("seed", 1, "random seed")
 	budget := flag.Int("budget", 0, "evaluation budget scale (0 = defaults)")
-	workers := flag.Int("workers", 0, "parallel search workers (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "parallel search workers (0 = all CPUs, at most 256)")
 	flag.Parse()
 
 	if *all {
@@ -56,6 +58,10 @@ func main() {
 	}
 	if len(tables) == 0 && len(figs) == 0 {
 		flag.Usage()
+		os.Exit(1)
+	}
+	if err := (analysis.Spec{Workers: *workers}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "paperrepro:", err)
 		os.Exit(1)
 	}
 	paper.Render(os.Stdout, tables, figs, *seed, *budget, *workers)

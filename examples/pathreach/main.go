@@ -44,10 +44,17 @@ func main() {
 
 	// Target: enter the branch (site 0 true) and violate the assertion
 	// (site 1 false: NOT x < 2).
-	r := analysis.AssertionViolations(context.Background(), p, []instrument.Decision{
-		{Site: 0, Taken: true},
-		{Site: 1, Taken: false},
-	}, analysis.ReachOptions{Seed: 1, Bounds: []opt.Bound{{Lo: -10, Hi: 10}}})
+	r, err := analysis.ReachPath(context.Background(), p, analysis.Spec{
+		Seed:   1,
+		Bounds: []opt.Bound{{Lo: -10, Hi: 10}},
+		Path: []instrument.Decision{
+			{Site: 0, Taken: true},
+			{Site: 1, Taken: false},
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("assertion-violating input search:", r)
 	if r.Found {

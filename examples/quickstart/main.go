@@ -11,6 +11,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/analysis"
 	"repro/internal/fp"
@@ -52,9 +53,12 @@ func main() {
 
 	// 1. Boundary value analysis: inputs with a*a+b*b == 25 exactly, or
 	// a == b inside the circle.
-	rep := analysis.BoundaryValues(context.Background(), prog, analysis.BoundaryOptions{
+	rep, err := analysis.BoundaryValues(context.Background(), prog, analysis.Spec{
 		Seed: 1, Starts: 12, Bounds: bounds,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("boundary value analysis: %d boundary values across %d conditions\n",
 		rep.BoundaryValues, len(rep.Conditions))
 	for _, c := range rep.Conditions {
@@ -65,9 +69,15 @@ func main() {
 
 	// 2. Path reachability: drive the program inside the circle with
 	// a > b.
-	r := analysis.ReachPath(context.Background(), prog, []instrument.Decision{
-		{Site: 0, Taken: true},
-		{Site: 1, Taken: true},
-	}, analysis.ReachOptions{Seed: 2, Bounds: bounds})
+	r, err := analysis.ReachPath(context.Background(), prog, analysis.Spec{
+		Seed: 2, Bounds: bounds,
+		Path: []instrument.Decision{
+			{Site: 0, Taken: true},
+			{Site: 1, Taken: true},
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("path [inside circle, a > b]: %v\n", r)
 }

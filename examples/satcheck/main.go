@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/opt"
 	"repro/internal/sat"
 )
@@ -26,10 +27,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r := sat.Solve(context.Background(), f, sat.Options{
+		r := sat.Solve(context.Background(), f, core.Options{
 			Seed: 1, Starts: 6, EvalsPerStart: 10000,
 			Bounds: bounds(f.Dim(), -4, 4),
-		})
+		}, false)
 		fmt.Printf("%-28s -> ", src)
 		if r.Verdict == sat.Sat {
 			fmt.Print("sat:")

@@ -14,11 +14,14 @@ import (
 )
 
 func TestBoundaryValuesFig2(t *testing.T) {
-	rep := analysis.BoundaryValues(context.Background(), progs.Fig2(), analysis.BoundaryOptions{
+	rep, err := analysis.BoundaryValues(context.Background(), progs.Fig2(), analysis.Spec{
 		Seed:   1,
 		Starts: 8,
 		Bounds: []opt.Bound{{Lo: -100, Hi: 100}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.BoundaryValues == 0 {
 		t.Fatal("no boundary values found")
 	}
@@ -41,11 +44,14 @@ func TestBoundaryValuesAreSound(t *testing.T) {
 	// condition when replayed. The analysis already replays internally;
 	// here we re-verify the retained examples independently.
 	p := progs.Fig2()
-	rep := analysis.BoundaryValues(context.Background(), p, analysis.BoundaryOptions{
+	rep, err := analysis.BoundaryValues(context.Background(), p, analysis.Spec{
 		Seed:   2,
 		Starts: 6,
 		Bounds: []opt.Bound{{Lo: -50, Hi: 50}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	wit := &instrument.BoundaryWitness{}
 	for _, c := range rep.Conditions {
 		for _, x := range c.Examples {
@@ -58,11 +64,14 @@ func TestBoundaryValuesAreSound(t *testing.T) {
 }
 
 func TestBoundaryProgressMonotone(t *testing.T) {
-	rep := analysis.BoundaryValues(context.Background(), progs.Fig2(), analysis.BoundaryOptions{
+	rep, err := analysis.BoundaryValues(context.Background(), progs.Fig2(), analysis.Spec{
 		Seed:   3,
 		Starts: 6,
 		Bounds: []opt.Bound{{Lo: -50, Hi: 50}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := 0
 	for _, pt := range rep.Progress {
 		if pt.Conditions != prev+1 {
@@ -78,10 +87,13 @@ func TestBoundaryValuesSinAllReachable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-running search")
 	}
-	rep := analysis.BoundaryValues(context.Background(), libm.SinProgram(), analysis.BoundaryOptions{
+	rep, err := analysis.BoundaryValues(context.Background(), libm.SinProgram(), analysis.Spec{
 		Seed:   4,
 		Starts: 48,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for site := 0; site < 4; site++ {
 		for _, neg := range []bool{false, true} {
 			c := rep.Condition(site, neg)
@@ -116,10 +128,16 @@ func TestBoundaryValuesSinAllReachable(t *testing.T) {
 }
 
 func TestReachPathFig2(t *testing.T) {
-	r := analysis.ReachPath(context.Background(), progs.Fig2(), []instrument.Decision{
-		{Site: progs.Fig2BranchX, Taken: true},
-		{Site: progs.Fig2BranchY, Taken: true},
-	}, analysis.ReachOptions{Seed: 5, Bounds: []opt.Bound{{Lo: -1000, Hi: 1000}}})
+	r, err := analysis.ReachPath(context.Background(), progs.Fig2(), analysis.Spec{
+		Seed: 5, Bounds: []opt.Bound{{Lo: -1000, Hi: 1000}},
+		Path: []instrument.Decision{
+			{Site: progs.Fig2BranchX, Taken: true},
+			{Site: progs.Fig2BranchY, Taken: true},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Found {
 		t.Fatalf("path not reached: %v", r)
 	}
@@ -133,13 +151,17 @@ func TestReachPathInfeasible(t *testing.T) {
 	// x in (-inf,-3) ∪ ... wait: x <= 1, then y = (x+1)^2 > 4 → x < -3.
 	// That IS feasible. An infeasible target: branch 0 taken and not
 	// taken is impossible in one run — use site 0 twice.
-	r := analysis.ReachPath(context.Background(), progs.Fig2(), []instrument.Decision{
-		{Site: progs.Fig2BranchX, Taken: true},
-		{Site: progs.Fig2BranchX, Taken: false}, // site 0 never re-executes
-	}, analysis.ReachOptions{
-		Seed: 6, Starts: 2, EvalsPerStart: 2000,
+	r, err := analysis.ReachPath(context.Background(), progs.Fig2(), analysis.Spec{
+		Path: []instrument.Decision{
+			{Site: progs.Fig2BranchX, Taken: true},
+			{Site: progs.Fig2BranchX, Taken: false}, // site 0 never re-executes
+		},
+		Seed: 6, Starts: 2, Evals: 2000,
 		Bounds: []opt.Bound{{Lo: -10, Hi: 10}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Found {
 		t.Errorf("infeasible path reported reachable at %v", r.X)
 	}
@@ -148,9 +170,15 @@ func TestReachPathInfeasible(t *testing.T) {
 func TestReachEqZeroNeedsULP(t *testing.T) {
 	// §5.2: reaching `if (x == 0)` with the real-valued distance works
 	// too (distance |x-0|), but the ULP variant must land exactly.
-	r := analysis.ReachPath(context.Background(), progs.EqZero(), []instrument.Decision{
-		{Site: progs.EqZeroBranch, Taken: true},
-	}, analysis.ReachOptions{Seed: 7, ULP: true, Bounds: []opt.Bound{{Lo: -1, Hi: 1}}})
+	r, err := analysis.ReachPath(context.Background(), progs.EqZero(), analysis.Spec{
+		Seed: 7, ULP: true, Bounds: []opt.Bound{{Lo: -1, Hi: 1}},
+		Path: []instrument.Decision{
+			{Site: progs.EqZeroBranch, Taken: true},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Found {
 		t.Fatalf("x == 0 not reached: %v", r)
 	}
@@ -162,10 +190,16 @@ func TestReachEqZeroNeedsULP(t *testing.T) {
 func TestAssertionViolationFig1a(t *testing.T) {
 	// The paper's §1 motivating analysis: find x with x < 1 whose
 	// assert(x < 2) fails after x = x + 1.
-	r := analysis.AssertionViolations(context.Background(), progs.Fig1a(), []instrument.Decision{
-		{Site: progs.Fig1BranchLT1, Taken: true},
-		{Site: progs.Fig1BranchLT2, Taken: false},
-	}, analysis.ReachOptions{Seed: 8, Bounds: []opt.Bound{{Lo: -10, Hi: 10}}})
+	r, err := analysis.ReachPath(context.Background(), progs.Fig1a(), analysis.Spec{
+		Seed: 8, Bounds: []opt.Bound{{Lo: -10, Hi: 10}},
+		Path: []instrument.Decision{
+			{Site: progs.Fig1BranchLT1, Taken: true},
+			{Site: progs.Fig1BranchLT2, Taken: false},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Found {
 		t.Fatalf("assertion violation not found: %v", r)
 	}
@@ -182,10 +216,16 @@ func TestAssertionViolationFig1a(t *testing.T) {
 func TestAssertionViolationFig1b(t *testing.T) {
 	// Fig. 1(b): x = x + tan(x) — the variant that defeats SMT-based
 	// reasoning but is routine for execution-based search.
-	r := analysis.AssertionViolations(context.Background(), progs.Fig1b(), []instrument.Decision{
-		{Site: progs.Fig1BranchLT1, Taken: true},
-		{Site: progs.Fig1BranchLT2, Taken: false},
-	}, analysis.ReachOptions{Seed: 9, Bounds: []opt.Bound{{Lo: -10, Hi: 1}}})
+	r, err := analysis.ReachPath(context.Background(), progs.Fig1b(), analysis.Spec{
+		Seed: 9, Bounds: []opt.Bound{{Lo: -10, Hi: 1}},
+		Path: []instrument.Decision{
+			{Site: progs.Fig1BranchLT1, Taken: true},
+			{Site: progs.Fig1BranchLT2, Taken: false},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Found {
 		t.Fatalf("assertion violation not found: %v", r)
 	}
@@ -196,7 +236,10 @@ func TestAssertionViolationFig1b(t *testing.T) {
 }
 
 func TestDetectOverflowsFig2(t *testing.T) {
-	rep := analysis.DetectOverflows(context.Background(), progs.Fig2(), analysis.OverflowOptions{Seed: 10})
+	rep, err := analysis.DetectOverflows(context.Background(), progs.Fig2(), analysis.Spec{Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// x+1 overflows at x = -MAX (guard x <= 1 holds there; the sum's
 	// magnitude stays at MAX) and x*x at |x| > ~1.3e154. x-1 can NEVER
 	// overflow: it only executes when y = x*x <= 4, which confines its
@@ -224,9 +267,12 @@ func TestDetectOverflowsBessel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-running search")
 	}
-	rep := analysis.DetectOverflows(context.Background(), gsl.BesselProgram(), analysis.OverflowOptions{
-		Seed: 11, EvalsPerRound: 8000,
+	rep, err := analysis.DetectOverflows(context.Background(), gsl.BesselProgram(), analysis.Spec{
+		Seed: 11, Evals: 8000,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := len(rep.Findings); got < 21 {
 		missed := ""
 		for _, s := range rep.Missed {
@@ -260,9 +306,12 @@ func replayOverflows(t *testing.T, f analysis.OverflowFinding) bool {
 }
 
 func TestCoverFig2(t *testing.T) {
-	rep := analysis.Cover(context.Background(), progs.Fig2(), analysis.CoverOptions{
+	rep, err := analysis.Cover(context.Background(), progs.Fig2(), analysis.Spec{
 		Seed: 12, Bounds: []opt.Bound{{Lo: -1000, Hi: 1000}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.Covered) != rep.Total || rep.Total != 4 {
 		t.Errorf("covered %d/%d sides: %+v", len(rep.Covered), rep.Total, rep.Covered)
 	}

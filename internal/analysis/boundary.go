@@ -8,7 +8,6 @@ package analysis
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/instrument"
@@ -16,65 +15,9 @@ import (
 	"repro/internal/rt"
 )
 
-// BoundaryOptions configures BoundaryValues.
-type BoundaryOptions struct {
-	// Seed makes the run deterministic.
-	Seed int64
-	// Starts is the number of minimization restarts; zero selects 32.
-	Starts int
-	// EvalsPerStart bounds weak-distance evaluations per restart; zero
-	// selects 4000.
-	EvalsPerStart int
-	// Backend is the MO backend; nil selects Basinhopping.
-	Backend opt.Minimizer
-	// Bounds optionally restricts the input space.
-	Bounds []opt.Bound
-	// ULP selects the ULP boundary distance (Limitation-2 mitigation).
-	ULP bool
-	// HighPrecision accumulates the multiplicative distance in scaled
-	// double-double arithmetic, eliminating spurious zeros from product
-	// underflow (the §5.2 higher-precision mitigation).
-	HighPrecision bool
-	// Sites restricts the analysis to a subset of branch sites.
-	Sites map[int]bool
-	// KeepValues bounds how many concrete boundary values are retained
-	// per condition (statistics always cover all of them); zero
-	// selects 16.
-	KeepValues int
-	// Workers sets multi-start parallelism: 0 selects runtime.NumCPU(),
-	// 1 runs one worker. The report is identical for every
-	// value — per-start zeros are merged in start order, so parallelism
-	// only changes wall-clock time.
-	Workers int
-}
-
-func (o BoundaryOptions) starts() int {
-	if o.Starts > 0 {
-		return o.Starts
-	}
-	return 32
-}
-
-func (o BoundaryOptions) evalsPerStart() int {
-	if o.EvalsPerStart > 0 {
-		return o.EvalsPerStart
-	}
-	return 4000
-}
-
-func (o BoundaryOptions) backend() opt.Minimizer {
-	if o.Backend != nil {
-		return o.Backend
-	}
-	return &opt.Basinhopping{}
-}
-
-func (o BoundaryOptions) keep() int {
-	if o.KeepValues > 0 {
-		return o.KeepValues
-	}
-	return 16
-}
+// keepValues bounds how many concrete boundary values a condition
+// retains; its statistics always cover all of them.
+const keepValues = 16
 
 // ConditionKey identifies one boundary condition group: a branch site
 // together with the sign of the (first) input — Table 2's ± rows.
@@ -93,7 +36,7 @@ type ConditionStats struct {
 	// Min and Max are the extreme first-input values observed (Table 2's
 	// min/max rows).
 	Min, Max float64
-	// Examples retains up to KeepValues concrete inputs.
+	// Examples retains up to keepValues concrete inputs.
 	Examples [][]float64
 }
 
@@ -143,7 +86,17 @@ func (r *BoundaryReport) Condition(site int, negative bool) *ConditionStats {
 // the boundary condition(s) it triggers by replaying it under a
 // witness monitor (the §6.2 soundness check), and aggregates Table 2 /
 // Fig. 9 style statistics.
-func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *BoundaryReport {
+//
+// It reads Seed, Starts, Evals (per start), Backend, Bounds, ULP,
+// HighPrecision and Workers from s; a zero or negative Starts or Evals
+// takes bva's DefaultSpec value. The report is identical for every
+// Workers value: per-start zeros are merged in start order, so
+// parallelism only changes wall-clock time.
+func BoundaryValues(ctx context.Context, p *rt.Program, s Spec) (*BoundaryReport, error) {
+	s, be, err := s.resolve(bvaAnalysis{}.DefaultSpec())
+	if err != nil {
+		return nil, err
+	}
 	wit := &instrument.BoundaryWitness{}
 	rep := &BoundaryReport{}
 	stats := map[ConditionKey]*ConditionStats{}
@@ -159,34 +112,28 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 	// worker-sized batches so that at most one batch of zeros is
 	// retained at a time (the fold is in start order, so batching never
 	// changes the report).
-	batchSize := o.Workers
-	if batchSize <= 0 {
-		batchSize = runtime.NumCPU()
-	}
+	batchSize := s.batchSize()
 	zeros := make([]startZeros, batchSize)
-	for base := 0; base < o.starts(); base += batchSize {
+	for base := 0; base < s.Starts; base += batchSize {
 		if ctx.Err() != nil {
 			rep.Canceled = true
 			break
 		}
-		n := o.starts() - base
-		if n > batchSize {
-			n = batchSize
-		}
+		n := min(s.Starts-base, batchSize)
 		for i := range zeros {
 			zeros[i].reset()
 		}
-		batch := opt.ParallelStarts(o.backend(), func(s int) opt.Objective {
+		batch := opt.ParallelStarts(be, func(i int) opt.Objective {
 			inst := p.Instance()
-			mon := &instrument.Boundary{ULP: o.ULP, HighPrecision: o.HighPrecision, Sites: o.Sites}
-			return zeros[s].record(inst.WeakDistance(mon))
+			mon := &instrument.Boundary{ULP: s.ULP, HighPrecision: s.HighPrecision}
+			return zeros[i].record(inst.WeakDistance(mon))
 		}, p.Dim, opt.ParallelConfig{
 			Starts:     n,
-			Workers:    o.Workers,
-			Seed:       o.Seed + int64(base)*7919,
+			Workers:    s.Workers,
+			Seed:       s.Seed + int64(base)*7919,
 			SeedStride: 7919,
-			MaxEvals:   o.evalsPerStart(),
-			Bounds:     o.Bounds,
+			MaxEvals:   s.Evals,
+			Bounds:     s.Bounds,
 			StopAtZero: false, // keep sampling: we want many boundary values
 			Ctx:        ctx,
 		})
@@ -195,7 +142,7 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 			if sr.Canceled {
 				rep.Canceled = true
 			}
-			mergeBoundaryZeros(p, &zeros[i], sr.Evals, wit, rep, stats, labels, o)
+			mergeBoundaryZeros(p, &zeros[i], sr.Evals, wit, rep, stats, labels)
 		}
 	}
 
@@ -209,7 +156,7 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 		}
 		return !a.Negative && b.Negative
 	})
-	return rep
+	return rep, nil
 }
 
 // startZeros holds the exact zeros one start's objective returned.
@@ -242,8 +189,7 @@ func (z *startZeros) record(w func([]float64) float64) opt.Objective {
 // samples merged before this start plus the zero's 1-based index, and
 // after the start it grows by the start's evals.
 func mergeBoundaryZeros(p *rt.Program, z *startZeros, evals int, wit *instrument.BoundaryWitness,
-	rep *BoundaryReport, stats map[ConditionKey]*ConditionStats, labels map[int]string,
-	o BoundaryOptions) {
+	rep *BoundaryReport, stats map[ConditionKey]*ConditionStats, labels map[int]string) {
 	base := rep.Samples
 	for i, n := range z.n {
 		x := z.xs[i*p.Dim : (i+1)*p.Dim : (i+1)*p.Dim]
@@ -256,9 +202,6 @@ func mergeBoundaryZeros(p *rt.Program, z *startZeros, evals int, wit *instrument
 			continue
 		}
 		for _, site := range sites {
-			if o.Sites != nil && !o.Sites[site] {
-				continue
-			}
 			key := ConditionKey{Site: site, Negative: math.Signbit(x[0])}
 			cs, ok := stats[key]
 			if !ok {
@@ -281,7 +224,7 @@ func mergeBoundaryZeros(p *rt.Program, z *startZeros, evals int, wit *instrument
 			if v := x[0]; v > cs.Max {
 				cs.Max = v
 			}
-			if len(cs.Examples) < o.keep() {
+			if len(cs.Examples) < keepValues {
 				cs.Examples = append(cs.Examples, append([]float64(nil), x...))
 			}
 		}

@@ -2,69 +2,12 @@ package analysis
 
 import (
 	"context"
-	"runtime"
 	"sort"
 
 	"repro/internal/instrument"
 	"repro/internal/opt"
 	"repro/internal/rt"
 )
-
-// CoverOptions configures Cover.
-type CoverOptions struct {
-	// Seed makes the run deterministic.
-	Seed int64
-	// EvalsPerRound bounds evaluations per minimization round; zero
-	// selects 4000.
-	EvalsPerRound int
-	// MaxStall stops after this many consecutive rounds without new
-	// coverage; zero selects 6.
-	MaxStall int
-	// Backend is the MO backend; nil selects Basinhopping.
-	Backend opt.Minimizer
-	// Bounds optionally restricts the input space.
-	Bounds []opt.Bound
-	// ULP selects ULP branch distances.
-	ULP bool
-	// Workers sets the parallelism: 0 selects runtime.NumCPU(), 1 runs
-	// one round at a time. Rounds have a sequential dependency (each
-	// round's weak distance is built over the covered set left by the
-	// previous one), so parallelism is speculative: Workers rounds are
-	// minimized concurrently against a snapshot of the covered set, and
-	// speculative results are discarded the moment a consumed round
-	// changes the set. The report is therefore identical for every
-	// Workers value; speculation pays off in the stall phase, where
-	// rounds leave the set unchanged.
-	Workers int
-}
-
-func (o CoverOptions) evalsPerRound() int {
-	if o.EvalsPerRound > 0 {
-		return o.EvalsPerRound
-	}
-	return 4000
-}
-
-func (o CoverOptions) maxStall() int {
-	if o.MaxStall > 0 {
-		return o.MaxStall
-	}
-	return 6
-}
-
-func (o CoverOptions) backend() opt.Minimizer {
-	if o.Backend != nil {
-		return o.Backend
-	}
-	return &opt.Basinhopping{}
-}
-
-func (o CoverOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.NumCPU()
-}
 
 // CoverReport is the result of branch-coverage testing.
 type CoverReport struct {
@@ -95,17 +38,31 @@ func (r *CoverReport) Ratio() float64 {
 // CoverMe construction): it grows the covered set B by repeatedly
 // minimizing the coverage weak distance, which is zero exactly on
 // inputs taking some branch side outside B.
-func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
+//
+// It reads Seed, Evals (per round), Stall (rounds without new coverage
+// before it stops), Backend, Bounds, ULP and Workers from s; a zero or
+// negative Evals or Stall takes coverage's DefaultSpec value. Rounds
+// have a sequential dependency (each round's weak distance is built
+// over the covered set left by the previous one), so parallelism is
+// speculative: Workers rounds are minimized concurrently against a
+// snapshot of the covered set, and speculative results are discarded
+// the moment a consumed round changes the set. The report is therefore
+// identical for every Workers value; speculation pays off in the stall
+// phase, where rounds leave the set unchanged.
+func Cover(ctx context.Context, p *rt.Program, s Spec) (*CoverReport, error) {
+	s, be, err := s.resolve(coverageAnalysis{}.DefaultSpec())
+	if err != nil {
+		return nil, err
+	}
 	covered := map[instrument.Side]bool{}
 	rep := &CoverReport{
 		Total:  2 * len(p.Branches),
 		Inputs: map[instrument.Side][]float64{},
 	}
 
-	backend := o.backend()
 	rec := &instrument.RecordNewSides{Covered: covered}
 	stall := 0
-	for stall < o.maxStall() && len(covered) < rep.Total {
+	for stall < s.Stall && len(covered) < rep.Total {
 		if ctx.Err() != nil {
 			rep.Canceled = true
 			break
@@ -114,20 +71,20 @@ func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
 		// snapshot of the covered set. Slot j corresponds to serial
 		// round rep.Rounds+1+j and uses that round's historical seed.
 		snapshot := make(map[instrument.Side]bool, len(covered))
-		for s := range covered {
-			snapshot[s] = true
+		for side := range covered {
+			snapshot[side] = true
 		}
-		batch := opt.ParallelStarts(backend, func(int) opt.Objective {
+		batch := opt.ParallelStarts(be, func(int) opt.Objective {
 			inst := p.Instance()
-			mon := &instrument.Coverage{Covered: snapshot, ULP: o.ULP}
+			mon := &instrument.Coverage{Covered: snapshot, ULP: s.ULP}
 			return opt.Objective(inst.WeakDistance(mon))
 		}, p.Dim, opt.ParallelConfig{
-			Starts:     o.workers(),
-			Workers:    o.Workers,
-			Seed:       o.Seed + int64(rep.Rounds+1)*15485863,
+			Starts:     s.batchSize(),
+			Workers:    s.Workers,
+			Seed:       s.Seed + int64(rep.Rounds+1)*15485863,
 			SeedStride: 15485863,
-			MaxEvals:   o.evalsPerRound(),
-			Bounds:     o.Bounds,
+			MaxEvals:   s.Evals,
+			Bounds:     s.Bounds,
 			StopAtZero: true,
 			Ctx:        ctx,
 		})
@@ -150,7 +107,7 @@ func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
 			rep.Rounds++
 			rep.Evals += sr.Evals
 			if !sr.FoundZero {
-				if stall++; stall >= o.maxStall() {
+				if stall++; stall >= s.Stall {
 					break
 				}
 				continue
@@ -168,12 +125,12 @@ func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
 				break
 			}
 			stall = 0
-			for _, s := range sides {
-				covered[s] = true
-				rep.Covered = append(rep.Covered, s)
+			for _, side := range sides {
+				covered[side] = true
+				rep.Covered = append(rep.Covered, side)
 				in := make([]float64, len(sr.X))
 				copy(in, sr.X)
-				rep.Inputs[s] = in
+				rep.Inputs[side] = in
 			}
 			break // covered set changed: remaining slots are stale
 		}
@@ -185,5 +142,5 @@ func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
 		}
 		return a.Taken && !b.Taken
 	})
-	return rep
+	return rep, nil
 }

@@ -43,19 +43,28 @@ func TestFPLFig2FullPipeline(t *testing.T) {
 	bounds := []opt.Bound{{Lo: -100, Hi: 100}}
 
 	// Boundary values.
-	rep := analysis.BoundaryValues(context.Background(), p, analysis.BoundaryOptions{Seed: 1, Starts: 8, Bounds: bounds})
+	rep, err := analysis.BoundaryValues(context.Background(), p, analysis.Spec{Seed: 1, Starts: 8, Bounds: bounds})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.BoundaryValues == 0 || rep.SoundnessViolations != 0 {
 		t.Errorf("BVA: %+v", rep)
 	}
 
 	// Coverage: all four sides coverable.
-	cov := analysis.Cover(context.Background(), p, analysis.CoverOptions{Seed: 2, Bounds: bounds})
+	cov, err := analysis.Cover(context.Background(), p, analysis.Spec{Seed: 2, Bounds: bounds})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cov.Ratio() != 1 {
 		t.Errorf("coverage %v of %d sides", cov.Ratio(), cov.Total)
 	}
 
 	// Overflow on the interpreted program: the x*x op can overflow.
-	ov := analysis.DetectOverflows(context.Background(), p, analysis.OverflowOptions{Seed: 3})
+	ov, err := analysis.DetectOverflows(context.Background(), p, analysis.Spec{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ov.Findings) == 0 {
 		t.Error("no overflow on interpreted fig2")
 	}
@@ -63,10 +72,16 @@ func TestFPLFig2FullPipeline(t *testing.T) {
 
 func TestFPLAssertionViolation(t *testing.T) {
 	it, p := loadTestdata(t, "assertion.fpl", "prog")
-	r := analysis.AssertionViolations(context.Background(), p, []instrument.Decision{
-		{Site: 0, Taken: true},
-		{Site: 1, Taken: false},
-	}, analysis.ReachOptions{Seed: 4, Bounds: []opt.Bound{{Lo: -10, Hi: 10}}})
+	r, err := analysis.ReachPath(context.Background(), p, analysis.Spec{
+		Seed: 4, Bounds: []opt.Bound{{Lo: -10, Hi: 10}},
+		Path: []instrument.Decision{
+			{Site: 0, Taken: true},
+			{Site: 1, Taken: false},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Found {
 		t.Fatalf("no violation found: %v", r)
 	}
@@ -103,8 +118,13 @@ func TestFPLNewtonLoop(t *testing.T) {
 	if convSite < 0 {
 		t.Fatalf("convergence site not found among %v", p.Branches)
 	}
-	r := analysis.ReachPath(context.Background(), p, []instrument.Decision{{Site: convSite, Taken: true}},
-		analysis.ReachOptions{Seed: 5, Bounds: []opt.Bound{{Lo: 0.5, Hi: 1e6}}})
+	r, err := analysis.ReachPath(context.Background(), p, analysis.Spec{
+		Seed: 5, Bounds: []opt.Bound{{Lo: 0.5, Hi: 1e6}},
+		Path: []instrument.Decision{{Site: convSite, Taken: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Found {
 		t.Errorf("convergence branch unreached: %v", r)
 	}
@@ -124,10 +144,14 @@ func TestFPLSum3Associativity(t *testing.T) {
 	if neqSite < 0 {
 		t.Fatalf("site not found: %v", p.Branches)
 	}
-	r := analysis.ReachPath(context.Background(), p, []instrument.Decision{{Site: neqSite, Taken: true}},
-		analysis.ReachOptions{Seed: 6, Bounds: []opt.Bound{
-			{Lo: -10, Hi: 10}, {Lo: -10, Hi: 10}, {Lo: -10, Hi: 10},
-		}})
+	r, err := analysis.ReachPath(context.Background(), p, analysis.Spec{
+		Seed:   6,
+		Bounds: []opt.Bound{{Lo: -10, Hi: 10}, {Lo: -10, Hi: 10}, {Lo: -10, Hi: 10}},
+		Path:   []instrument.Decision{{Site: neqSite, Taken: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Found {
 		t.Fatalf("rounding-only branch unreached: %v", r)
 	}
@@ -158,9 +182,12 @@ func TestFPLSinFig8Dispatch(t *testing.T) {
 		}
 	}
 
-	rep := analysis.BoundaryValues(context.Background(), p, analysis.BoundaryOptions{
-		Seed: 7, Starts: 48, EvalsPerStart: 4000,
+	rep, err := analysis.BoundaryValues(context.Background(), p, analysis.Spec{
+		Seed: 7, Starts: 48, Evals: 4000,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.SoundnessViolations != 0 {
 		t.Errorf("%d soundness violations", rep.SoundnessViolations)
 	}

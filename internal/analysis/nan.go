@@ -10,11 +10,6 @@ import (
 	"repro/internal/rt"
 )
 
-// NonFiniteOptions configures FindNonFinite. The knobs are those of
-// OverflowOptions — the finder runs the same Algorithm 3 driver with
-// the non-finite weak distance.
-type NonFiniteOptions = OverflowOptions
-
 // NonFiniteFinding is one detected domain error: an operation site
 // driven to a non-finite result, the input triggering it, and the
 // IEEE-754 class of the value produced there.
@@ -60,12 +55,16 @@ func (r *NonFiniteReport) Found(site int) bool {
 // to non-finite results (NaN or ±Inf), reusing the Algorithm 3 overflow
 // machinery with the instrument.NonFinite weak distance. Each finding
 // is classified by replaying its input and recording the value the
-// targeted operation produced.
-func FindNonFinite(ctx context.Context, p *rt.Program, o NonFiniteOptions) *NonFiniteReport {
+// targeted operation produced. It reads the Spec fields runSiteHunt
+// reads, with nan's DefaultSpec.
+func FindNonFinite(ctx context.Context, p *rt.Program, s Spec) (*NonFiniteReport, error) {
 	start := time.Now()
-	hunt := runSiteHunt(ctx, p, o.huntConfig(p, func(tracked instrument.SiteSet) siteMonitor {
+	hunt, err := runSiteHunt(ctx, p, s, nanAnalysis{}.DefaultSpec(), func(tracked instrument.SiteSet) siteMonitor {
 		return &instrument.NonFinite{L: tracked}
-	}))
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	rep := &NonFiniteReport{Ops: len(p.Ops), Rounds: hunt.rounds, Evals: hunt.evals, Canceled: hunt.canceled}
 	labels := map[int]string{}
@@ -89,7 +88,7 @@ func FindNonFinite(ctx context.Context, p *rt.Program, o NonFiniteOptions) *NonF
 		}
 	}
 	rep.Duration = time.Since(start)
-	return rep
+	return rep, nil
 }
 
 func classifyValue(v float64) string {

@@ -2,92 +2,12 @@ package analysis
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"repro/internal/instrument"
 	"repro/internal/opt"
 	"repro/internal/rt"
 )
-
-// OverflowOptions configures DetectOverflows (Algorithm 3).
-type OverflowOptions struct {
-	// Seed makes the run deterministic.
-	Seed int64
-	// EvalsPerRound bounds weak-distance evaluations per minimization
-	// round (step 5); zero selects 6000.
-	EvalsPerRound int
-	// MaxRounds caps minimization rounds beyond the |L| <= nOps
-	// guarantee; zero selects 3 * number of operation sites.
-	MaxRounds int
-	// Backend is the MO backend; nil selects Basinhopping (as in the
-	// paper's fpod).
-	Backend opt.Minimizer
-	// Bounds optionally restricts the input space.
-	Bounds []opt.Bound
-	// RetriesPerTarget relaunches from fresh starting points when a
-	// round ends with a positive minimum, before giving the target up
-	// (§6.3.1: "we relaunch Basinhopping with other starting points in
-	// case that failing to find a minimum 0 is due to incompleteness");
-	// zero selects 3.
-	RetriesPerTarget int
-	// Workers sets the parallelism: 0 selects runtime.NumCPU(), 1 runs
-	// one round at a time. Rounds depend on the tracked set L built
-	// by earlier rounds, so parallelism is speculative: Workers rounds
-	// run concurrently against a snapshot of L, and speculative results
-	// are discarded as soon as a consumed round changes L. The report is
-	// identical for every Workers value.
-	Workers int
-}
-
-func (o OverflowOptions) evalsPerRound() int {
-	if o.EvalsPerRound > 0 {
-		return o.EvalsPerRound
-	}
-	return 6000
-}
-
-func (o OverflowOptions) backend() opt.Minimizer {
-	if o.Backend != nil {
-		return o.Backend
-	}
-	return &opt.Basinhopping{}
-}
-
-func (o OverflowOptions) retries() int {
-	if o.RetriesPerTarget > 0 {
-		return o.RetriesPerTarget
-	}
-	return 3
-}
-
-func (o OverflowOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.NumCPU()
-}
-
-func (o OverflowOptions) maxRounds(p *rt.Program) int {
-	if o.MaxRounds > 0 {
-		return o.MaxRounds
-	}
-	return 3 * len(p.Ops)
-}
-
-func (o OverflowOptions) huntConfig(p *rt.Program, mk func(tracked instrument.SiteSet) siteMonitor) siteHuntConfig {
-	return siteHuntConfig{
-		seed:          o.Seed,
-		evalsPerRound: o.evalsPerRound(),
-		maxRounds:     o.maxRounds(p),
-		retries:       o.retries(),
-		workers:       o.Workers,
-		batchSize:     o.workers(),
-		backend:       o.backend(),
-		bounds:        o.Bounds,
-		monitor:       mk,
-	}
-}
 
 // OverflowFinding is one detected overflow: the operation site and an
 // input triggering it (a row of Table 4).
@@ -132,12 +52,16 @@ func (r *OverflowReport) Found(site int) bool {
 // the set L of handled operation sites, repeatedly minimizes the
 // overflow weak distance (which targets the last executed site outside
 // L), records an input for every site driven to overflow, and
-// terminates when every site is tracked.
-func DetectOverflows(ctx context.Context, p *rt.Program, o OverflowOptions) *OverflowReport {
+// terminates when every site is tracked. See runSiteHunt for the Spec
+// fields it reads.
+func DetectOverflows(ctx context.Context, p *rt.Program, s Spec) (*OverflowReport, error) {
 	start := time.Now()
-	hunt := runSiteHunt(ctx, p, o.huntConfig(p, func(tracked instrument.SiteSet) siteMonitor {
+	hunt, err := runSiteHunt(ctx, p, s, overflowAnalysis{}.DefaultSpec(), func(tracked instrument.SiteSet) siteMonitor {
 		return &instrument.Overflow{L: tracked}
-	}))
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	rep := &OverflowReport{Ops: len(p.Ops), Rounds: hunt.rounds, Evals: hunt.evals, Canceled: hunt.canceled}
 	labels := map[int]string{}
@@ -157,7 +81,7 @@ func DetectOverflows(ctx context.Context, p *rt.Program, o OverflowOptions) *Ove
 		}
 	}
 	rep.Duration = time.Since(start)
-	return rep
+	return rep, nil
 }
 
 // siteMonitor is the weak-distance shape shared by the per-instruction
@@ -169,21 +93,6 @@ type siteMonitor interface {
 	// LastSite returns the operation site the previous execution
 	// effectively targeted; -1 when every executed site was tracked.
 	LastSite() int
-}
-
-// siteHuntConfig parameterizes runSiteHunt; see OverflowOptions for the
-// field semantics. The monitor factory builds a fresh weak-distance
-// monitor over a (possibly shared, read-only) tracked-set snapshot.
-type siteHuntConfig struct {
-	seed          int64
-	evalsPerRound int
-	maxRounds     int
-	retries       int
-	workers       int
-	batchSize     int
-	backend       opt.Minimizer
-	bounds        []opt.Bound
-	monitor       func(tracked instrument.SiteSet) siteMonitor
 }
 
 // siteFinding is one site driven to its target, with the triggering
@@ -203,23 +112,47 @@ type siteHunt struct {
 
 // runSiteHunt is the Algorithm 3 state machine, generic over the
 // per-instruction weak distance: it tracks the set L of handled
-// operation sites, repeatedly minimizes the monitor's distance (which
-// targets the last executed site outside L), records an input for every
-// site driven to its target, and terminates when every site is tracked,
-// the round budget is spent, or repeated rounds make no progress.
+// operation sites, repeatedly minimizes the distance of a monitor built
+// over L (which targets the last executed site outside L), records an
+// input for every site driven to its target, and terminates when every
+// site is tracked, the round budget is spent, or repeated rounds make
+// no progress.
+//
+// It reads Seed, Evals (per round), Rounds, Retries, Backend, Bounds
+// and Workers from s. A zero or negative Evals takes def's value,
+// Rounds 3 × the number of operation sites (beyond the |L| <= nOps
+// guarantee), and Retries 3. Retries relaunches a round that ends with
+// a positive minimum from fresh starting points before the target is
+// given up (§6.3.1: "we relaunch Basinhopping with other starting
+// points in case that failing to find a minimum 0 is due to
+// incompleteness").
 //
 // Rounds have a sequential dependency through L, so parallelism is
-// speculative: batchSize rounds run concurrently against a read-only
+// speculative: Workers rounds run concurrently against a read-only
 // snapshot of L, and speculative results are discarded as soon as a
 // consumed round changes L. The outcome is identical for every worker
 // count.
-func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt {
+func runSiteHunt(ctx context.Context, p *rt.Program, s, def Spec,
+	monitor func(tracked instrument.SiteSet) siteMonitor) (siteHunt, error) {
+	s, be, err := s.resolve(def)
+	if err != nil {
+		return siteHunt{}, err
+	}
+	maxRounds := s.Rounds
+	if maxRounds <= 0 {
+		maxRounds = 3 * len(p.Ops)
+	}
+	retries := s.Retries
+	if retries <= 0 {
+		retries = 3
+	}
+
 	var L instrument.SiteSet
 	var hunt siteHunt
-	retriesLeft := c.retries
+	retriesLeft := retries
 
 	gaveUp := false
-	for !gaveUp && hunt.rounds < c.maxRounds && L.Len() < len(p.Ops) {
+	for !gaveUp && hunt.rounds < maxRounds && L.Len() < len(p.Ops) {
 		if ctx.Err() != nil {
 			hunt.canceled = true
 			break
@@ -228,21 +161,16 @@ func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt 
 		// Slot j corresponds to serial round hunt.rounds+j and uses that
 		// round's historical seed.
 		snapshot := L.Clone()
-		batchSize := c.batchSize
-		if rem := c.maxRounds - hunt.rounds; batchSize > rem {
-			batchSize = rem
-		}
-		batch := opt.ParallelStarts(c.backend, func(int) opt.Objective {
+		batch := opt.ParallelStarts(be, func(int) opt.Objective {
 			inst := p.Instance()
-			mon := c.monitor(snapshot)
-			return opt.Objective(inst.WeakDistance(mon))
+			return opt.Objective(inst.WeakDistance(monitor(snapshot)))
 		}, p.Dim, opt.ParallelConfig{
-			Starts:     batchSize,
-			Workers:    c.workers,
-			Seed:       c.seed + int64(hunt.rounds)*104729,
+			Starts:     min(s.batchSize(), maxRounds-hunt.rounds),
+			Workers:    s.Workers,
+			Seed:       s.Seed + int64(hunt.rounds)*104729,
 			SeedStride: 104729,
-			MaxEvals:   c.evalsPerRound,
-			Bounds:     c.bounds,
+			MaxEvals:   s.Evals,
+			Bounds:     s.Bounds,
 			StopAtZero: true,
 			Ctx:        ctx,
 		})
@@ -268,7 +196,7 @@ func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt 
 			// Step 7: replay the minimum point to identify the targeted
 			// instruction (the last untracked site the execution
 			// reached). The snapshot equals L for every consumed slot.
-			replayMon := c.monitor(snapshot)
+			replayMon := monitor(snapshot)
 			p.Execute(replayMon, sr.X)
 			target := replayMon.LastSite()
 
@@ -279,7 +207,7 @@ func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt 
 					input: sr.X,
 				})
 				L.Add(target)
-				retriesLeft = c.retries
+				retriesLeft = retries
 				break // L changed: remaining slots are stale
 			}
 
@@ -313,9 +241,9 @@ func runSiteHunt(ctx context.Context, p *rt.Program, c siteHuntConfig) siteHunt 
 				continue
 			}
 			L.Add(target)
-			retriesLeft = c.retries
+			retriesLeft = retries
 			break // L changed: remaining slots are stale
 		}
 	}
-	return hunt
+	return hunt, nil
 }

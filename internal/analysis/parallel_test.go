@@ -53,10 +53,14 @@ func TestWorkersDeterminism(t *testing.T) {
 	for _, pr := range programs {
 		t.Run("boundary/"+pr.name, func(t *testing.T) {
 			run := func(workers int) *analysis.BoundaryReport {
-				return analysis.BoundaryValues(context.Background(), pr.p, analysis.BoundaryOptions{
-					Seed: 11, Starts: 8, EvalsPerStart: 1000, Bounds: bounds,
+				rep, err := analysis.BoundaryValues(context.Background(), pr.p, analysis.Spec{
+					Seed: 11, Starts: 8, Evals: 1000, Bounds: bounds,
 					Workers: workers,
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
 			}
 			serial, parallel := run(1), run(8)
 			if !reflect.DeepEqual(serial, parallel) {
@@ -68,10 +72,14 @@ func TestWorkersDeterminism(t *testing.T) {
 		})
 		t.Run("coverage/"+pr.name, func(t *testing.T) {
 			run := func(workers int) *analysis.CoverReport {
-				return analysis.Cover(context.Background(), pr.p, analysis.CoverOptions{
-					Seed: 12, EvalsPerRound: 1000, Bounds: bounds,
+				rep, err := analysis.Cover(context.Background(), pr.p, analysis.Spec{
+					Seed: 12, Evals: 1000, Bounds: bounds,
 					Workers: workers,
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
 			}
 			serial, parallel := run(1), run(8)
 			if !reflect.DeepEqual(serial, parallel) {
@@ -83,9 +91,12 @@ func TestWorkersDeterminism(t *testing.T) {
 		})
 		t.Run("overflow/"+pr.name, func(t *testing.T) {
 			run := func(workers int) *analysis.OverflowReport {
-				rep := analysis.DetectOverflows(context.Background(), pr.p, analysis.OverflowOptions{
-					Seed: 13, EvalsPerRound: 1500, Workers: workers,
+				rep, err := analysis.DetectOverflows(context.Background(), pr.p, analysis.Spec{
+					Seed: 13, Evals: 1500, Workers: workers,
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
 				rep.Duration = 0 // wall clock is the one legitimately varying field
 				return rep
 			}
@@ -104,10 +115,15 @@ func TestWorkersDeterminism(t *testing.T) {
 				{Site: 1, Taken: false},
 			}
 			run := func(workers int) core.Result {
-				return analysis.ReachPath(context.Background(), pr.p, target, analysis.ReachOptions{
-					Seed: 14, Starts: 8, EvalsPerStart: 2000, Bounds: bounds,
+				r, err := analysis.ReachPath(context.Background(), pr.p, analysis.Spec{
+					Path: target,
+					Seed: 14, Starts: 8, Evals: 2000, Bounds: bounds,
 					Workers: workers,
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
 			}
 			serial, parallel := run(1), run(8)
 			if !reflect.DeepEqual(serial, parallel) {

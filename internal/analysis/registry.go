@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -14,11 +15,13 @@ import (
 	"repro/internal/sat"
 )
 
-// Spec is the uniform, JSON-serializable configuration of a registered
-// analysis: one vocabulary of knobs shared by every analysis (the
-// paper's point — all five instances are the same minimize-a-weak-
-// distance problem), with per-analysis defaults supplied by
-// DefaultSpec. Zero values select the analysis defaults throughout.
+// Spec is the uniform, JSON-serializable configuration of every
+// analysis, registered or called directly: one vocabulary of knobs
+// shared by every analysis (the paper's point — all five instances are
+// the same minimize-a-weak-distance problem), with per-analysis
+// defaults supplied by DefaultSpec. A zero or negative Starts, Evals,
+// Stall, Rounds or Retries selects the analysis default; Seed is taken
+// as given, since 0 is a valid seed.
 type Spec struct {
 	// Analysis names the registered analysis to run.
 	Analysis string `json:"analysis,omitempty"`
@@ -29,12 +32,12 @@ type Spec struct {
 	Starts int `json:"starts,omitempty"`
 	// Evals bounds weak-distance evaluations per restart or round.
 	Evals int `json:"evals,omitempty"`
-	// Rounds caps minimization rounds (overflow, nan; 0 = 3 × ops).
+	// Rounds caps minimization rounds (overflow, nan; default 3 × ops).
 	Rounds int `json:"rounds,omitempty"`
 	// Stall stops coverage after this many rounds without progress.
 	Stall int `json:"stall,omitempty"`
 	// Retries relaunches a failing target from fresh starting points
-	// (overflow, nan; 0 = 3).
+	// (overflow, nan; default 3).
 	Retries int `json:"retries,omitempty"`
 	// Bounds optionally restricts the input space. A single bound is
 	// broadcast over all dimensions by the CLI/pipeline loaders.
@@ -87,12 +90,50 @@ func (s Spec) Validate() *SpecError {
 	return nil
 }
 
-// backend validates the spec and resolves its backend.
-func (s Spec) backend() (opt.Minimizer, error) {
+// resolve validates the spec, resolves its backend, and fills each
+// zero or negative Starts, Evals and Stall from def, the analysis'
+// DefaultSpec.
+func (s Spec) resolve(def Spec) (Spec, opt.Minimizer, error) {
 	if spe := s.Validate(); spe != nil {
-		return nil, spe
+		return s, nil, spe
 	}
-	return opt.BackendByName(s.Backend)
+	be, err := opt.BackendByName(s.Backend)
+	if err != nil {
+		return s, nil, err
+	}
+	if s.Starts <= 0 {
+		s.Starts = def.Starts
+	}
+	if s.Evals <= 0 {
+		s.Evals = def.Evals
+	}
+	if s.Stall <= 0 {
+		s.Stall = def.Stall
+	}
+	return s, be, nil
+}
+
+// batchSize is how many starts or speculative rounds run at once: one
+// per worker, and every CPU when Workers is zero or negative.
+func (s Spec) batchSize() int {
+	if s.Workers > 0 {
+		return s.Workers
+	}
+	return runtime.NumCPU()
+}
+
+// solveOptions is the Algorithm 2 configuration of a resolved
+// multi-start spec (reach, xsat). An Evals still at 0 leaves core.Solve
+// its program-dependent 20000 × dim.
+func (s Spec) solveOptions(be opt.Minimizer) core.Options {
+	return core.Options{
+		Backend:       be,
+		Starts:        s.Starts,
+		EvalsPerStart: s.Evals,
+		Seed:          s.Seed,
+		Bounds:        s.Bounds,
+		Workers:       s.Workers,
+	}
 }
 
 // Input is what a registered analysis runs on.
@@ -150,8 +191,9 @@ type Analysis interface {
 	Name() string
 	// Describe is a one-line description for listings.
 	Describe() string
-	// DefaultSpec returns the analysis' default configuration (the
-	// historical CLI flag defaults).
+	// DefaultSpec returns the analysis' default configuration: the CLI
+	// flag defaults, and the values a zero or negative Starts, Evals or
+	// Stall takes.
 	DefaultSpec() Spec
 	// Knobs declares which Spec fields the analysis consumes.
 	Knobs() Knobs
@@ -260,6 +302,15 @@ func needProgram(name string, in Input) (*rt.Program, error) {
 	return in.Program, nil
 }
 
+// report hands a typed analysis result to the registry, keeping a
+// failed run's report a nil interface rather than a typed nil.
+func report[R Report](r R, err error) (Report, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // --- Boundary value analysis ---
 
 type bvaAnalysis struct{}
@@ -279,20 +330,7 @@ func (bvaAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	be, err := s.backend()
-	if err != nil {
-		return nil, err
-	}
-	return BoundaryValues(ctx, p, BoundaryOptions{
-		Seed:          s.Seed,
-		Starts:        s.Starts,
-		EvalsPerStart: s.Evals,
-		Backend:       be,
-		Bounds:        s.Bounds,
-		ULP:           s.ULP,
-		HighPrecision: s.HighPrecision,
-		Workers:       s.Workers,
-	}), nil
+	return report(BoundaryValues(ctx, p, s))
 }
 
 // --- Branch-coverage testing ---
@@ -312,19 +350,7 @@ func (coverageAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, erro
 	if err != nil {
 		return nil, err
 	}
-	be, err := s.backend()
-	if err != nil {
-		return nil, err
-	}
-	return Cover(ctx, p, CoverOptions{
-		Seed:          s.Seed,
-		EvalsPerRound: s.Evals,
-		MaxStall:      s.Stall,
-		Backend:       be,
-		Bounds:        s.Bounds,
-		ULP:           s.ULP,
-		Workers:       s.Workers,
-	}), nil
+	return report(Cover(ctx, p, s))
 }
 
 // --- Overflow detection ---
@@ -355,19 +381,10 @@ func (overflowAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, erro
 	if err != nil {
 		return nil, err
 	}
-	be, err := s.backend()
+	rep, err := DetectOverflows(ctx, p, s)
 	if err != nil {
 		return nil, err
 	}
-	rep := DetectOverflows(ctx, p, OverflowOptions{
-		Seed:             s.Seed,
-		EvalsPerRound:    s.Evals,
-		MaxRounds:        s.Rounds,
-		Backend:          be,
-		Bounds:           s.Bounds,
-		RetriesPerTarget: s.Retries,
-		Workers:          s.Workers,
-	})
 	run := &OverflowRun{OverflowReport: rep}
 	if in.SF != nil {
 		var inputs [][]float64
@@ -407,22 +424,10 @@ func (reachAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(s.Path) == 0 {
-		return nil, &SpecError{Field: "path", Reason: "empty path; want e.g. 0:t,1:f"}
-	}
-	be, err := s.backend()
+	r, err := ReachPath(ctx, p, s)
 	if err != nil {
 		return nil, err
 	}
-	r := ReachPath(ctx, p, s.Path, ReachOptions{
-		Seed:          s.Seed,
-		Starts:        s.Starts,
-		EvalsPerStart: s.Evals,
-		Backend:       be,
-		Bounds:        s.Bounds,
-		ULP:           s.ULP,
-		Workers:       s.Workers,
-	})
 	return &ReachRun{Result: r, Program: p.Name, Target: s.Path}, nil
 }
 
@@ -456,27 +461,17 @@ func (xsatAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, error) {
 	if err != nil {
 		return nil, &SpecError{Field: "formula", Value: s.Formula, Reason: err.Error()}
 	}
-	bounds := s.Bounds
 	if f.Dim() > 0 {
-		bounds, err = opt.BroadcastBounds(bounds, f.Dim())
+		s.Bounds, err = opt.BroadcastBounds(s.Bounds, f.Dim())
 		if err != nil {
 			return nil, &SpecError{Field: "bounds", Reason: err.Error()}
 		}
 	}
-	be, err := s.backend()
+	s, be, err := s.resolve(xsatAnalysis{}.DefaultSpec())
 	if err != nil {
 		return nil, err
 	}
-	r := sat.Solve(ctx, f, sat.Options{
-		Seed:          s.Seed,
-		Starts:        s.Starts,
-		EvalsPerStart: s.Evals,
-		Backend:       be,
-		Bounds:        bounds,
-		RealDist:      s.RealDist,
-		Workers:       s.Workers,
-	})
-	return &SatRun{Result: r, Vars: vars}, nil
+	return &SatRun{Result: sat.Solve(ctx, f, s.solveOptions(be), s.RealDist), Vars: vars}, nil
 }
 
 // --- NaN / domain-error finding (the registry's analysis #6) ---
@@ -496,17 +491,5 @@ func (nanAnalysis) Run(ctx context.Context, in Input, s Spec) (Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	be, err := s.backend()
-	if err != nil {
-		return nil, err
-	}
-	return FindNonFinite(ctx, p, NonFiniteOptions{
-		Seed:             s.Seed,
-		EvalsPerRound:    s.Evals,
-		MaxRounds:        s.Rounds,
-		Backend:          be,
-		Bounds:           s.Bounds,
-		RetriesPerTarget: s.Retries,
-		Workers:          s.Workers,
-	}), nil
+	return report(FindNonFinite(ctx, p, s))
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -209,5 +210,53 @@ func TestReportsSerializable(t *testing.T) {
 		if rep.Summary() == "" {
 			t.Errorf("%s: empty summary", s.Analysis)
 		}
+	}
+}
+
+// TestZeroSpecTakesDefaults: a spec that leaves the budget knobs at
+// zero, or sets them negative, runs exactly the analysis' DefaultSpec
+// (same seed, workers, path and formula), byte for byte in JSON with
+// the wall-clock durations masked.
+func TestZeroSpecTakesDefaults(t *testing.T) {
+	duration := regexp.MustCompile(`"duration":[0-9]+`)
+	run := func(t *testing.T, a analysis.Analysis, s analysis.Spec) string {
+		t.Helper()
+		in := analysis.Input{}
+		if a.Knobs().Program {
+			in.Program = progs.Fig2()
+		}
+		rep, err := a.Run(context.Background(), in, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return duration.ReplaceAllString(string(b), `"duration":0`)
+	}
+	for _, a := range analysis.All() {
+		t.Run(a.Name(), func(t *testing.T) {
+			zero := analysis.Spec{Analysis: a.Name(), Seed: 3, Workers: 1}
+			if a.Knobs().Path {
+				zero.Path = []instrument.Decision{{Site: 0, Taken: true}, {Site: 1, Taken: false}}
+			}
+			if a.Knobs().Formula {
+				zero.Formula = "x < 1 && x + 1 >= 2"
+			}
+			negative := zero
+			negative.Starts, negative.Evals, negative.Stall = -1, -1, -1
+			negative.Rounds, negative.Retries = -1, -1
+			def := a.DefaultSpec()
+			def.Seed, def.Workers, def.Path, def.Formula = zero.Seed, zero.Workers, zero.Path, zero.Formula
+
+			want := run(t, a, def)
+			if got := run(t, a, zero); got != want {
+				t.Errorf("zero spec:\n got %s\nwant %s", got, want)
+			}
+			if got := run(t, a, negative); got != want {
+				t.Errorf("negative spec:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

@@ -24,7 +24,7 @@ func TestSolveReallocatesReclaimedBudget(t *testing.T) {
 	}
 	run := func(workers int) core.Result {
 		return core.Solve(context.Background(), prob, core.Options{
-			Backend:       &opt.Portfolio{StallWindow: 100},
+			Backend:       &opt.Portfolio{},
 			Starts:        4,
 			EvalsPerStart: 5000,
 			Seed:          21,
@@ -97,7 +97,7 @@ func TestSolveBonusStartCanSolve(t *testing.T) {
 	prob := core.Problem{Name: "pocket", Dim: 1,
 		NewW: func() core.WeakDistance { return w }}
 	opts := core.Options{
-		Backend:       &opt.Portfolio{StallWindow: 50},
+		Backend:       &opt.Portfolio{},
 		Starts:        2,
 		EvalsPerStart: 4000,
 		Seed:          1,
@@ -113,7 +113,7 @@ func TestSolveBonusStartCanSolve(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3} {
 		if got := core.Solve(context.Background(), prob, core.Options{
-			Backend:       &opt.Portfolio{StallWindow: 50},
+			Backend:       &opt.Portfolio{},
 			Starts:        2,
 			EvalsPerStart: 4000,
 			Seed:          1,

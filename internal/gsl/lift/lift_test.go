@@ -139,10 +139,13 @@ func TestLiftedOverflowFindsSites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := analysis.DetectOverflows(context.Background(), p, analysis.OverflowOptions{
-			Seed:          5 + int64(i)*1_000_003,
-			EvalsPerRound: 1200,
+		rep, err := analysis.DetectOverflows(context.Background(), p, analysis.Spec{
+			Seed:  5 + int64(i)*1_000_003,
+			Evals: 1200,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(rep.Findings) == 0 {
 			t.Errorf("lifted %s: no overflow found (%d rounds, %d evaluations)", fn, rep.Rounds, rep.Evals)
 		}

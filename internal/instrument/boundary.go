@@ -46,9 +46,6 @@ type Boundary struct {
 	ULP bool
 	// HighPrecision accumulates the product without under/overflow.
 	HighPrecision bool
-	// Sites, when non-nil, restricts instrumentation to these branch
-	// sites (boundary analysis of a subset of conditions).
-	Sites map[int]bool
 
 	w  float64
 	hp *dd.ScaledProduct
@@ -66,7 +63,7 @@ func (m *Boundary) Reset() {
 }
 
 // MulFactor folds one branch factor into the plain-configuration
-// product (no site filter, |a-b| metric, float64 accumulation):
+// product (|a-b| metric, float64 accumulation):
 // w = min(w*d, MaxFloat). It is deliberately tiny so Branch's default
 // path inlines to a load, a multiply, a clamp, and a store.
 func (m *Boundary) MulFactor(d float64) {
@@ -79,7 +76,7 @@ func (m *Boundary) MulFactor(d float64) {
 
 // Branch implements rt.Monitor.
 func (m *Boundary) Branch(site int, op fp.CmpOp, a, b float64) {
-	if m.Sites == nil && !m.ULP && !m.HighPrecision {
+	if !m.ULP && !m.HighPrecision {
 		// Default configuration, on the per-branch hot path of every
 		// boundary analysis: plain |a-b| product with saturation,
 		// written so the finite case stays fully inlined. The factors
@@ -90,9 +87,6 @@ func (m *Boundary) Branch(site int, op fp.CmpOp, a, b float64) {
 			d = fp.BoundaryDist(a, b) // NaN/Inf operands: cold path
 		}
 		m.MulFactor(d)
-		return
-	}
-	if m.Sites != nil && !m.Sites[site] {
 		return
 	}
 	var d float64
@@ -126,25 +120,26 @@ func (m *Boundary) Value() float64 {
 // boundary (a == b) during one execution. The analysis layer replays
 // reported boundary values under a witness to attribute each value to a
 // boundary condition (soundness check (i) of §6.2 and the hit counts of
-// Table 2).
+// Table 2). A warm witness replays without allocating: Reset clears
+// only the sites the previous execution hit.
 type BoundaryWitness struct {
-	hits  map[int]int
+	hit   SiteSet
 	order []int
 }
 
 // Reset implements rt.Monitor.
 func (m *BoundaryWitness) Reset() {
-	m.hits = make(map[int]int)
+	for _, site := range m.order {
+		m.hit.remove(site)
+	}
 	m.order = m.order[:0]
 }
 
 // Branch implements rt.Monitor.
 func (m *BoundaryWitness) Branch(site int, op fp.CmpOp, a, b float64) {
-	if a == b {
-		if m.hits[site] == 0 {
-			m.order = append(m.order, site)
-		}
-		m.hits[site]++
+	if a == b && !m.hit.Has(site) {
+		m.hit.Add(site)
+		m.order = append(m.order, site)
 	}
 }
 
@@ -154,14 +149,11 @@ func (m *BoundaryWitness) FPOp(int, float64) bool { return false }
 // Value implements rt.Monitor: 0 when some boundary condition was hit,
 // making the witness itself a (characteristic-style) weak distance.
 func (m *BoundaryWitness) Value() float64 {
-	if len(m.hits) > 0 {
+	if len(m.order) > 0 {
 		return 0
 	}
 	return 1
 }
-
-// Hits returns the per-site equality counts of the last execution.
-func (m *BoundaryWitness) Hits() map[int]int { return m.hits }
 
 // Sites returns the boundary sites hit, in first-hit order.
 func (m *BoundaryWitness) Sites() []int { return m.order }

@@ -11,9 +11,6 @@ import (
 // minimizing it degenerates into pure random testing (Limitation 3
 // illustration; ablated in the Fig. 7 bench).
 type Characteristic struct {
-	// Sites, when non-nil, restricts the boundary conditions considered.
-	Sites map[int]bool
-
 	hit bool
 }
 
@@ -22,9 +19,6 @@ func (m *Characteristic) Reset() { m.hit = false }
 
 // Branch implements rt.Monitor.
 func (m *Characteristic) Branch(site int, op fp.CmpOp, a, b float64) {
-	if m.Sites != nil && !m.Sites[site] {
-		return
-	}
 	if a == b {
 		m.hit = true
 	}

@@ -20,6 +20,11 @@ func (s *SiteSet) Add(site int) {
 	s.words[w] |= 1 << (uint(site) & 63)
 }
 
+// remove deletes site, which must be in the set.
+func (s *SiteSet) remove(site int) {
+	s.words[site>>6] &^= 1 << (uint(site) & 63)
+}
+
 // Has reports whether site is in the set; IDs beyond the set's range,
 // negative ones included, are not.
 func (s *SiteSet) Has(site int) bool {

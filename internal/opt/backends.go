@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -66,68 +67,22 @@ func BroadcastBounds(bs []Bound, dim int) ([]Bound, error) {
 	return out, nil
 }
 
-// newBackend resolves a backend spelling to a fresh, undecorated
-// Minimizer and its canonical name. The portfolio scheduler builds its
-// stage backends through this raw path so their evaluations are
-// attributed to the portfolio run, not double-counted as standalone
-// runs.
-func newBackend(name string) (Minimizer, bool) {
-	want := strings.ToLower(name)
-	for _, f := range backendFactories {
-		if want == f.name {
-			return f.mk(), true
-		}
-		for _, a := range f.aliases {
-			if want == a {
-				return f.mk(), true
-			}
-		}
-	}
-	return nil, false
-}
-
-// canonicalBackendName maps any accepted spelling (alias,
-// case-insensitive) to the canonical registry name; unknown spellings
-// are returned lowercased.
-func canonicalBackendName(name string) string {
-	want := strings.ToLower(name)
-	for _, f := range backendFactories {
-		if want == f.name {
-			return f.name
-		}
-		for _, a := range f.aliases {
-			if want == a {
-				return f.name
-			}
-		}
-	}
-	return want
-}
-
 // BackendByName resolves a backend spelling (canonical name or alias,
 // case-insensitive; empty selects Basinhopping) to a fresh Minimizer.
 // The returned minimizer is instrumented: every Minimize records its
 // consumed evaluations in the process-wide EvalCounts ledger under the
 // canonical name (portfolio stages under "portfolio/<stage>").
 func BackendByName(name string) (Minimizer, error) {
-	m, ok := newBackend(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown backend %q (%s)", name, strings.Join(BackendNames(), ", "))
+	want := strings.ToLower(name)
+	for _, f := range backendFactories {
+		if want == f.name || slices.Contains(f.aliases, want) {
+			return &countedMinimizer{name: f.name, m: f.mk()}, nil
+		}
 	}
-	return countedBackend(canonicalBackendName(name), m), nil
+	return nil, fmt.Errorf("unknown backend %q (%s)", name, strings.Join(BackendNames(), ", "))
 }
 
-// countedBackend decorates a minimizer with EvalCounts recording,
-// preserving the LocalMinimizer capability when the underlying backend
-// has it.
-func countedBackend(name string, m Minimizer) Minimizer {
-	c := countedMinimizer{name: name, m: m}
-	if lm, ok := m.(LocalMinimizer); ok {
-		return &countedLocalMinimizer{countedMinimizer: c, lm: lm}
-	}
-	return &c
-}
-
+// countedMinimizer decorates a minimizer with EvalCounts recording.
 type countedMinimizer struct {
 	name string
 	m    Minimizer
@@ -137,17 +92,6 @@ func (c *countedMinimizer) Name() string { return c.m.Name() }
 
 func (c *countedMinimizer) Minimize(obj Objective, dim int, cfg Config) Result {
 	r := c.m.Minimize(obj, dim, cfg)
-	recordBackendEvals(c.name, r)
-	return r
-}
-
-type countedLocalMinimizer struct {
-	countedMinimizer
-	lm LocalMinimizer
-}
-
-func (c *countedLocalMinimizer) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Result {
-	r := c.lm.MinimizeFrom(obj, x0, cfg)
 	recordBackendEvals(c.name, r)
 	return r
 }

@@ -21,33 +21,19 @@ import (
 //     binary64 (boundary conditions at 1e-8, overflows at 1e308).
 //
 // The zero value is ready to use.
-type Basinhopping struct {
-	// Temperature for the Metropolis acceptance; zero selects 1.0.
-	Temperature float64
-	// StepScale is the relative additive perturbation size; zero
-	// selects 0.5.
-	StepScale float64
-	// HopEvals is the local-search budget per hop; zero selects 250 per
-	// dimension.
-	HopEvals int
-}
+type Basinhopping struct{}
+
+// The chain's fixed tuning: the Metropolis temperature, the relative
+// additive perturbation size, and the local-search budget per hop and
+// dimension.
+const (
+	bhTemperature  = 1.0
+	bhStepScale    = 0.5
+	bhHopEvalsPerD = 250
+)
 
 // Name implements Minimizer.
 func (b *Basinhopping) Name() string { return "Basinhopping" }
-
-func (b *Basinhopping) temperature() float64 {
-	if b.Temperature == 0 {
-		return 1.0
-	}
-	return b.Temperature
-}
-
-func (b *Basinhopping) stepScale() float64 {
-	if b.StepScale == 0 {
-		return 0.5
-	}
-	return b.StepScale
-}
 
 // Minimize implements Minimizer.
 func (b *Basinhopping) Minimize(obj Objective, dim int, cfg Config) Result {
@@ -63,10 +49,7 @@ func (b *Basinhopping) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Res
 	rng := newRand(cfg.Seed ^ 0x5deece66d)
 	e := newEvaluator(obj, cfg, 4000*dim)
 
-	hopEvals := b.HopEvals
-	if hopEvals == 0 {
-		hopEvals = 250 * dim
-	}
+	hopEvals := bhHopEvalsPerD * dim
 	nm := &NelderMead{}
 	scr := newNMScratch(dim)
 
@@ -99,17 +82,16 @@ func (b *Basinhopping) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Res
 	curF := localSearch(cur, candX)
 	cur, candX = candX, cur
 
-	T := b.temperature()
 	hops := 0
 	for !e.done() {
 		hops++
-		b.perturb(rng, cur, cfg, pert)
+		perturb(rng, cur, cfg, pert)
 		candF := localSearch(pert, candX)
 		if e.hitZero {
 			break
 		}
 		// Metropolis acceptance over local minima.
-		if candF <= curF || rng.Float64() < math.Exp(-(candF-curF)/T) {
+		if candF <= curF || rng.Float64() < math.Exp(-(candF-curF)/bhTemperature) {
 			cur, candX = candX, cur
 			curF = candF
 		}
@@ -117,10 +99,10 @@ func (b *Basinhopping) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Res
 	return e.result(hops)
 }
 
-// perturb writes the next MCMC proposal from x into out.
-func (b *Basinhopping) perturb(rng *rand.Rand, x []float64, cfg Config, out []float64) {
+// perturb writes the next MCMC proposal from x into out. The annealer
+// draws its moves from the same mixture.
+func perturb(rng *rand.Rand, x []float64, cfg Config, out []float64) {
 	copy(out, x)
-	scale := b.stepScale()
 	for i := range out {
 		switch kind := rng.Float64(); {
 		case kind < 0.15:
@@ -152,7 +134,7 @@ func (b *Basinhopping) perturb(rng *rand.Rand, x []float64, cfg Config, out []fl
 			// Additive jitter relative to magnitude (plus an absolute
 			// floor so zero coordinates can move).
 			mag := math.Abs(out[i])
-			h := scale * (mag + 1)
+			h := bhStepScale * (mag + 1)
 			out[i] += (2*rng.Float64() - 1) * h
 		}
 	}

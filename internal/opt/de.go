@@ -16,14 +16,11 @@ import (
 // (the steady-state variant that folds each trial in immediately is a
 // common serial micro-optimization).
 //
+// The population holds max(15*dim, 30) members; the differential
+// weight is 0.7 and the crossover probability 0.9.
+//
 // The zero value is ready to use.
 type DifferentialEvolution struct {
-	// PopSize is the population size; zero selects max(15*dim, 30).
-	PopSize int
-	// F is the differential weight; zero selects 0.7.
-	F float64
-	// CR is the crossover probability; zero selects 0.9.
-	CR float64
 	// InitSpan bounds the initial population when the search range is
 	// the full float lattice; zero keeps full-lattice initialization.
 	// (Table 1 reproduces SciPy-like behaviour with linear-range
@@ -39,21 +36,8 @@ func (de *DifferentialEvolution) Minimize(obj Objective, dim int, cfg Config) Re
 	rng := newRand(cfg.Seed ^ 0x1e3779b97f4a7c15)
 	e := newEvaluator(obj, cfg, 4000*dim)
 
-	np := de.PopSize
-	if np == 0 {
-		np = 15 * dim
-		if np < 30 {
-			np = 30
-		}
-	}
-	F := de.F
-	if F == 0 {
-		F = 0.7
-	}
-	CR := de.CR
-	if CR == 0 {
-		CR = 0.9
-	}
+	const F, CR = 0.7, 0.9
+	np := max(15*dim, 30)
 
 	// Initialize the population, then score it.
 	// Members left unevaluated by an exhausted budget keep +Inf fitness

@@ -8,49 +8,24 @@ import (
 // (Nelder & Mead 1965). It serves as the inner local search of
 // Basinhopping and is exposed as a standalone LocalMinimizer.
 //
-// The zero value is ready to use with standard coefficients.
-type NelderMead struct {
-	// Reflection, Expansion, Contraction, Shrink coefficients; zero
-	// values select the standard 1, 2, 0.5, 0.5.
-	Reflection  float64
-	Expansion   float64
-	Contraction float64
-	Shrink      float64
-	// InitStep scales the initial simplex edge relative to |x0| (with an
-	// absolute floor). Zero selects 0.05.
-	InitStep float64
-	// FTol terminates when the simplex function-value spread drops below
-	// it. Zero selects 1e-12 (absolute).
-	FTol float64
-}
+// The zero value is ready to use.
+type NelderMead struct{}
+
+// The standard simplex coefficients: reflection alpha, expansion gamma,
+// contraction rho and shrink sigma; the initial simplex edge relative
+// to |x0| (with an absolute floor); and the relative spread below which
+// the search stops.
+const (
+	nmAlpha = 1.0
+	nmGamma = 2.0
+	nmRho   = 0.5
+	nmSigma = 0.5
+	nmStep  = 0.05
+	nmFTol  = 1e-12
+)
 
 // Name implements LocalMinimizer.
 func (nm *NelderMead) Name() string { return "NelderMead" }
-
-func (nm *NelderMead) coeffs() (alpha, gamma, rho, sigma, step, ftol float64) {
-	alpha, gamma, rho, sigma = nm.Reflection, nm.Expansion, nm.Contraction, nm.Shrink
-	if alpha == 0 {
-		alpha = 1
-	}
-	if gamma == 0 {
-		gamma = 2
-	}
-	if rho == 0 {
-		rho = 0.5
-	}
-	if sigma == 0 {
-		sigma = 0.5
-	}
-	step = nm.InitStep
-	if step == 0 {
-		step = 0.05
-	}
-	ftol = nm.FTol
-	if ftol == 0 {
-		ftol = 1e-12
-	}
-	return
-}
 
 type vertex struct {
 	x []float64
@@ -99,7 +74,6 @@ func (nm *NelderMead) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Resu
 // one reusable scratch). It returns the evaluator result snapshot after
 // this local search.
 func (nm *NelderMead) run(e *evaluator, x0 []float64, cfg Config, scr *nmScratch) Result {
-	alpha, gamma, rho, sigma, step, ftol := nm.coeffs()
 	dim := len(x0)
 
 	// Initial simplex: x0 plus dim perturbed vertices, re-seeded into
@@ -111,9 +85,9 @@ func (nm *NelderMead) run(e *evaluator, x0 []float64, cfg Config, scr *nmScratch
 		v := &simplex[i]
 		copy(v.x, x0)
 		if i > 0 {
-			h := step * math.Abs(v.x[i-1])
+			h := nmStep * math.Abs(v.x[i-1])
 			if h == 0 {
-				h = step
+				h = nmStep
 			}
 			v.x[i-1] += h
 		}
@@ -141,7 +115,7 @@ func (nm *NelderMead) run(e *evaluator, x0 []float64, cfg Config, scr *nmScratch
 		// Relative termination: keep refining while the spread is large
 		// compared to the best value, so weak distances are pushed all
 		// the way toward zero instead of stalling at an absolute floor.
-		if spread <= ftol*math.Abs(best.f) || math.IsNaN(spread) {
+		if spread <= nmFTol*math.Abs(best.f) || math.IsNaN(spread) {
 			break
 		}
 
@@ -156,7 +130,7 @@ func (nm *NelderMead) run(e *evaluator, x0 []float64, cfg Config, scr *nmScratch
 
 		// Reflection.
 		for j := 0; j < dim; j++ {
-			xr[j] = centroid[j] + alpha*(centroid[j]-worst.x[j])
+			xr[j] = centroid[j] + nmAlpha*(centroid[j]-worst.x[j])
 		}
 		clampInto(xr, cfg)
 		fr := e.eval(xr)
@@ -168,7 +142,7 @@ func (nm *NelderMead) run(e *evaluator, x0 []float64, cfg Config, scr *nmScratch
 				break
 			}
 			for j := 0; j < dim; j++ {
-				xe[j] = centroid[j] + gamma*(xr[j]-centroid[j])
+				xe[j] = centroid[j] + nmGamma*(xr[j]-centroid[j])
 			}
 			clampInto(xe, cfg)
 			fe := e.eval(xe)
@@ -187,7 +161,7 @@ func (nm *NelderMead) run(e *evaluator, x0 []float64, cfg Config, scr *nmScratch
 				ref = vertex{x: xr, f: fr}
 			}
 			for j := 0; j < dim; j++ {
-				xc[j] = centroid[j] + rho*(ref.x[j]-centroid[j])
+				xc[j] = centroid[j] + nmRho*(ref.x[j]-centroid[j])
 			}
 			clampInto(xc, cfg)
 			if e.done() {
@@ -205,7 +179,7 @@ func (nm *NelderMead) run(e *evaluator, x0 []float64, cfg Config, scr *nmScratch
 				// tracking, so the stale pairing is unobservable.
 				for i := 1; i <= dim; i++ {
 					for j := 0; j < dim; j++ {
-						simplex[i].x[j] = best.x[j] + sigma*(simplex[i].x[j]-best.x[j])
+						simplex[i].x[j] = best.x[j] + nmSigma*(simplex[i].x[j]-best.x[j])
 					}
 					clampInto(simplex[i].x, cfg)
 					scr.batchX[i-1] = simplex[i].x

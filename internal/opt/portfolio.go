@@ -38,16 +38,15 @@ type StageResult struct {
 // plateauDetector measures the best-objective decay rate over a sliding
 // evaluation window. It is fed the (evals, best) bookkeeping stream at
 // schedule-slice boundaries. Once a full window elapses with a relative
-// decay below ratio, the stream is declared stalled.
+// decay below portfolioStallRatio, the stream is declared stalled.
 type plateauDetector struct {
 	window    int
-	ratio     float64
 	markEvals int
 	markBest  float64
 }
 
-func newPlateauDetector(window int, ratio float64, evals int, best float64) *plateauDetector {
-	return &plateauDetector{window: window, ratio: ratio, markEvals: evals, markBest: best}
+func newPlateauDetector(window, evals int, best float64) *plateauDetector {
+	return &plateauDetector{window: window, markEvals: evals, markBest: best}
 }
 
 // observe folds one (evals, best) checkpoint and reports whether the
@@ -58,7 +57,7 @@ func (d *plateauDetector) observe(evals int, best float64) bool {
 		return false
 	}
 	improved := best < d.markBest &&
-		(math.IsInf(d.markBest, 1) || d.markBest-best > d.ratio*math.Abs(d.markBest))
+		(math.IsInf(d.markBest, 1) || d.markBest-best > portfolioStallRatio*math.Abs(d.markBest))
 	d.markEvals, d.markBest = evals, best
 	return !improved
 }
@@ -66,18 +65,23 @@ func (d *plateauDetector) observe(evals int, best float64) bool {
 // Portfolio is the plateau-detecting portfolio scheduler, registered as
 // backend "portfolio". It minimizes time-to-zero rather than ns/eval:
 //
-//  1. a cheap Probe backend runs in window-sized schedule slices, each
-//     resumed from the best point so far;
-//  2. when the probe's best-objective decay plateaus, the remaining
-//     Racers are raced round-robin over the shared budget, every slice
-//     re-seeded from the global best (backends implementing
-//     LocalMinimizer resume from it; population/chain backends restart
-//     from their derived seed);
+//  1. the cheap probe, neldermead, runs in window-sized schedule
+//     slices, each resumed from the best point so far;
+//  2. when the probe's best-objective decay plateaus, every other
+//     registered backend is raced round-robin, in registry order, over
+//     the shared budget, every slice re-seeded from the global best
+//     (backends implementing LocalMinimizer resume from it;
+//     population/chain backends restart from their derived seed);
 //  3. a racer whose own window of evaluations fails to improve the
 //     global best is dropped; when every stage has stalled the
 //     portfolio exits early, RETURNING the unused budget
 //     (Result.Exhausted stays false) instead of burning it — core.Solve
 //     reallocates the reclaimed evaluations to fresh starts.
+//
+// The window, which is also the slice size, is 400 evaluations per
+// dimension; a stage stays alive while its window lowers the best value
+// by more than 1%. The scheduler does not nest: portfolio is never one
+// of its own stages.
 //
 // Under StopAtZero the whole portfolio short-circuits the moment any
 // stage samples an exact zero, per the weak-distance contract. Without
@@ -86,72 +90,31 @@ func (d *plateauDetector) observe(evals int, best float64) bool {
 // including because it reached 0 — the portfolio exits early; clients
 // that want exhaustive sampling at zero should keep a fixed backend.
 //
-// The zero value is ready to use. Fields tune the schedule.
-type Portfolio struct {
-	// Probe is the registry name of the cheap first-stage backend
-	// ("" selects neldermead).
-	Probe string
-	// Racers are the registry names of the escalation backends, raced in
-	// order. Nil selects every registered fixed backend except the
-	// probe, in registry order. "portfolio" entries are ignored (the
-	// scheduler does not nest).
-	Racers []string
-	// StallWindow is the plateau window in objective evaluations, and
-	// also the schedule-slice size. Zero selects 400 × dim.
-	StallWindow int
-	// StallRatio is the minimum relative best-objective decay per window
-	// for a stage to stay alive. Zero selects 0.01.
-	StallRatio float64
-}
+// The zero value is ready to use.
+type Portfolio struct{}
+
+// The schedule's fixed tuning: the plateau window per dimension and the
+// minimum relative decay per window.
+const (
+	portfolioWindowPerDim = 400
+	portfolioStallRatio   = 0.01
+)
 
 // Name implements Minimizer.
 func (p *Portfolio) Name() string { return "Portfolio" }
 
-func (p *Portfolio) window(dim int) int {
-	if p.StallWindow > 0 {
-		return p.StallWindow
-	}
-	return 400 * dim
-}
-
-func (p *Portfolio) ratio() float64 {
-	if p.StallRatio > 0 {
-		return p.StallRatio
-	}
-	return 0.01
-}
-
-// lineup resolves the stage backends: the probe first, then the racers.
-// Unknown or nested-portfolio spellings are dropped; an unusable probe
-// falls back to the default, so the lineup is never empty.
-func (p *Portfolio) lineup() (names []string, stages []Minimizer) {
-	add := func(name string) bool {
-		m, ok := newBackend(name)
-		if !ok || name == "portfolio" {
-			return false
+// lineup builds the stage backends: the neldermead probe first, then
+// every other registered backend but portfolio, in registry order. The
+// stages are built raw, not through BackendByName, so their evaluations
+// are attributed to the portfolio run instead of being counted again as
+// standalone runs.
+func lineup() (names []string, stages []Minimizer) {
+	names, stages = []string{"neldermead"}, []Minimizer{&NelderMead{}}
+	for _, f := range backendFactories {
+		if f.name != "neldermead" && f.name != "portfolio" {
+			names = append(names, f.name)
+			stages = append(stages, f.mk())
 		}
-		if _, nested := m.(*Portfolio); nested {
-			return false
-		}
-		for _, n := range names {
-			if n == name {
-				return false
-			}
-		}
-		names = append(names, name)
-		stages = append(stages, m)
-		return true
-	}
-	probe := p.Probe
-	if probe == "" || !add(canonicalBackendName(probe)) {
-		add("neldermead")
-	}
-	racers := p.Racers
-	if racers == nil {
-		racers = BackendNames()
-	}
-	for _, r := range racers {
-		add(canonicalBackendName(r))
 	}
 	return names, stages
 }
@@ -163,9 +126,8 @@ func (p *Portfolio) Minimize(obj Objective, dim int, cfg Config) Result {
 	if e.stopped() || dim < 1 {
 		return e.result(0)
 	}
-	window := p.window(dim)
-	ratio := p.ratio()
-	names, backends := p.lineup()
+	window := portfolioWindowPerDim * dim
+	names, backends := lineup()
 
 	// Every inner backend samples through the portfolio's evaluator,
 	// gated on the outer schedule (budget, zero, cancellation) exactly
@@ -227,7 +189,7 @@ func (p *Portfolio) Minimize(obj Objective, dim int, cfg Config) Result {
 
 	// Stage 1: the probe, sliced until it plateaus (or finishes the
 	// job).
-	det := newPlateauDetector(window, ratio, e.evals, e.bestF)
+	det := newPlateauDetector(window, e.evals, e.bestF)
 	for !e.done() {
 		consumed := runSlice(0)
 		if !consumed || det.observe(e.evals, e.bestF) {
@@ -245,7 +207,7 @@ func (p *Portfolio) Minimize(obj Objective, dim int, cfg Config) Result {
 		dropped := make([]bool, len(names))
 		alive := 0
 		for i := 1; i < len(names); i++ {
-			dets[i] = newPlateauDetector(window, ratio, 0, e.bestF)
+			dets[i] = newPlateauDetector(window, 0, e.bestF)
 			alive++
 		}
 		for alive > 0 && !e.done() {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPlateauDetector(t *testing.T) {
-	d := newPlateauDetector(100, 0.01, 0, 100)
+	d := newPlateauDetector(100, 0, 100)
 	if d.observe(50, 90) {
 		t.Error("stalled inside the first window")
 	}
@@ -19,17 +19,17 @@ func TestPlateauDetector(t *testing.T) {
 	}
 
 	// From +Inf any finite best is progress; Inf → Inf is a stall.
-	d = newPlateauDetector(10, 0.01, 0, math.Inf(1))
+	d = newPlateauDetector(10, 0, math.Inf(1))
 	if d.observe(10, 5) {
 		t.Error("Inf → finite flagged as stall")
 	}
-	d = newPlateauDetector(10, 0.01, 0, math.Inf(1))
+	d = newPlateauDetector(10, 0, math.Inf(1))
 	if !d.observe(10, math.Inf(1)) {
 		t.Error("Inf → Inf not flagged as stall")
 	}
 
 	// A best pinned at zero cannot decay further: stall.
-	d = newPlateauDetector(10, 0.01, 0, 0)
+	d = newPlateauDetector(10, 0, 0)
 	if !d.observe(10, 0) {
 		t.Error("0 → 0 not flagged as stall")
 	}
@@ -41,7 +41,7 @@ func TestPlateauDetector(t *testing.T) {
 // then return the unused budget instead of burning it.
 func TestPortfolioEscalatesAndExitsEarly(t *testing.T) {
 	obj := func(x []float64) float64 { return x[0]*x[0] + 1 }
-	p := &Portfolio{StallWindow: 200}
+	p := &Portfolio{}
 	r := p.Minimize(obj, 1, Config{
 		Seed: 7, MaxEvals: 50000, StopAtZero: true,
 		Bounds: []Bound{{Lo: -10, Hi: 10}},
@@ -113,14 +113,14 @@ func TestPortfolioShortCircuitsOnZero(t *testing.T) {
 func TestPortfolioDeterministic(t *testing.T) {
 	obj := func(x []float64) float64 { return math.Abs(x[0]-2) + 0.5 }
 	cfg := Config{Seed: 11, MaxEvals: 6000, Bounds: []Bound{{Lo: -50, Hi: 50}}}
-	a := (&Portfolio{StallWindow: 150}).Minimize(obj, 1, cfg)
-	b := (&Portfolio{StallWindow: 150}).Minimize(obj, 1, cfg)
+	a := (&Portfolio{}).Minimize(obj, 1, cfg)
+	b := (&Portfolio{}).Minimize(obj, 1, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("identical runs diverged:\n%+v\n%+v", a, b)
 	}
 
 	run := func(workers int) []StartResult {
-		return ParallelStarts(&Portfolio{StallWindow: 150}, func(int) Objective {
+		return ParallelStarts(&Portfolio{}, func(int) Objective {
 			return obj
 		}, 1, ParallelConfig{
 			Starts: 6, Workers: workers, Seed: 13, MaxEvals: 2000,
@@ -150,14 +150,24 @@ func TestPortfolioTinyBudget(t *testing.T) {
 	}
 }
 
-// TestPortfolioRecursionGuard: portfolio spellings in the lineup are
-// dropped rather than nested, and an unusable probe falls back to the
-// default.
+// TestPortfolioRecursionGuard: the fixed lineup is the neldermead
+// probe, then every other registered backend once, and never nests
+// portfolio.
 func TestPortfolioRecursionGuard(t *testing.T) {
+	names, stages := lineup()
+	want := []string{"neldermead", "basinhopping", "de", "powell", "random", "anneal"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("lineup = %v, want %v", names, want)
+	}
+	for i, m := range stages {
+		if _, nested := m.(*Portfolio); nested {
+			t.Errorf("stage %d (%s) is a nested portfolio", i, names[i])
+		}
+	}
+
 	obj := func(x []float64) float64 { return x[0] * x[0] }
-	p := &Portfolio{Probe: "portfolio", Racers: []string{"auto", "portfolio", "nosuch"}}
-	r := p.Minimize(obj, 1, Config{
-		Seed: 9, MaxEvals: 500, StopAtZero: true, Bounds: []Bound{{Lo: -1, Hi: 1}},
+	r := (&Portfolio{}).Minimize(obj, 1, Config{
+		Seed: 9, MaxEvals: 5000, StopAtZero: true, Bounds: []Bound{{Lo: -1, Hi: 1}},
 	})
 	for _, st := range r.Stages {
 		if st.Backend == "portfolio" {
@@ -165,7 +175,7 @@ func TestPortfolioRecursionGuard(t *testing.T) {
 		}
 	}
 	if len(r.Stages) > 0 && r.Stages[0].Backend != "neldermead" {
-		t.Errorf("probe fallback is %q, want neldermead", r.Stages[0].Backend)
+		t.Errorf("probe stage is %q, want neldermead", r.Stages[0].Backend)
 	}
 }
 

@@ -10,30 +10,18 @@ import (
 // of the paper's Table 1 sanity check.
 //
 // The zero value is ready to use.
-type Powell struct {
-	// FTol is the relative function-decrease tolerance per outer
-	// iteration; zero selects 1e-10.
-	FTol float64
-	// MaxLineEvals bounds each line minimization; zero selects 60.
-	MaxLineEvals int
-}
+type Powell struct{}
+
+// The search's fixed tuning: the relative function-decrease tolerance
+// per outer iteration, and the evaluations one line minimization may
+// spend.
+const (
+	powellFTol      = 1e-10
+	powellLineEvals = 60
+)
 
 // Name implements Minimizer and LocalMinimizer.
 func (p *Powell) Name() string { return "Powell" }
-
-func (p *Powell) ftol() float64 {
-	if p.FTol == 0 {
-		return 1e-10
-	}
-	return p.FTol
-}
-
-func (p *Powell) lineEvals() int {
-	if p.MaxLineEvals == 0 {
-		return 60
-	}
-	return p.MaxLineEvals
-}
 
 // MinimizeFrom implements LocalMinimizer.
 func (p *Powell) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Result {
@@ -90,7 +78,7 @@ func (p *Powell) run(e *evaluator, x0 []float64, cfg Config) Result {
 		}
 
 		// Convergence test on relative decrease.
-		if 2*(fPrev-fx) <= p.ftol()*(math.Abs(fPrev)+math.Abs(fx)+1e-300) {
+		if 2*(fPrev-fx) <= powellFTol*(math.Abs(fPrev)+math.Abs(fx)+1e-300) {
 			break
 		}
 		if e.done() {
@@ -149,7 +137,7 @@ func (p *Powell) lineMin(e *evaluator, x, dir []float64, fx float64, cfg Config,
 		return e.eval(probe)
 	}
 
-	budget := p.lineEvals()
+	budget := powellLineEvals
 	used := 0
 	evalT := func(t float64) float64 {
 		used++

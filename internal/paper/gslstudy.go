@@ -102,7 +102,9 @@ type GSLStudyResult struct {
 // GSLStudyWorkers runs the full §6.3 pipeline: Algorithm 3 per
 // benchmark, inconsistency replay of every generated input, and
 // confirmed-bug replay. Minimization rounds run on workers goroutines
-// (0 = all CPUs); the result is identical for every value.
+// (0 = all CPUs, at most analysis.MaxWorkers); the result is identical
+// for every value. Callers check workers first: a spec the analysis
+// refuses panics.
 func GSLStudyWorkers(seed int64, evalsPerRound, workers int) *GSLStudyResult {
 	res := &GSLStudyResult{
 		OverflowReports: map[string]*analysis.OverflowReport{},
@@ -110,11 +112,14 @@ func GSLStudyWorkers(seed int64, evalsPerRound, workers int) *GSLStudyResult {
 		BugReplays:      map[string][]KnownBug{},
 	}
 	for bi, b := range GSLBenchmarks() {
-		rep := analysis.DetectOverflows(context.Background(), b.Program, analysis.OverflowOptions{
-			Seed:          seed + int64(bi)*1_000_003,
-			EvalsPerRound: evalsPerRound,
-			Workers:       workers,
+		rep, err := analysis.DetectOverflows(context.Background(), b.Program, analysis.Spec{
+			Seed:    seed + int64(bi)*1_000_003,
+			Evals:   evalsPerRound,
+			Workers: workers,
 		})
+		if err != nil {
+			panic(err)
+		}
 		res.OverflowReports[b.File] = rep
 
 		var inputs [][]float64

@@ -20,20 +20,22 @@ type SinStudy struct {
 // starts of 4000 evaluations; the paper used 6.4M samples, and these
 // defaults reach all 8 reachable conditions far cheaper because the
 // integer dispatch key gives a clean gradient). Restarts run on workers
-// goroutines (0 = all CPUs); the report is identical for every value.
+// goroutines (0 = all CPUs, at most analysis.MaxWorkers); the report is
+// identical for every value. Callers check workers first: a spec the
+// analysis refuses panics.
 func SinBoundaryStudyWorkers(seed int64, starts, evals, workers int) *SinStudy {
 	if starts <= 0 {
 		starts = 64
 	}
-	if evals <= 0 {
-		evals = 4000
-	}
-	rep := analysis.BoundaryValues(context.Background(), libm.SinProgram(), analysis.BoundaryOptions{
-		Seed:          seed,
-		Starts:        starts,
-		EvalsPerStart: evals,
-		Workers:       workers,
+	rep, err := analysis.BoundaryValues(context.Background(), libm.SinProgram(), analysis.Spec{
+		Seed:    seed,
+		Starts:  starts,
+		Evals:   evals,
+		Workers: workers,
 	})
+	if err != nil {
+		panic(err)
+	}
 	return &SinStudy{Report: rep}
 }
 

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fp"
-	"repro/internal/opt"
 )
 
 // Expr is a floating-point expression over variables x0..x(n-1).
@@ -237,27 +236,6 @@ func (f *Formula) WeakDistance(ulp bool) core.WeakDistance {
 	}
 }
 
-// Options configures Solve.
-type Options struct {
-	// Seed makes runs deterministic.
-	Seed int64
-	// Starts is the restart count; zero selects 8.
-	Starts int
-	// EvalsPerStart bounds evaluations per restart; zero selects
-	// 20000 * dim.
-	EvalsPerStart int
-	// Backend is the MO backend; nil selects Basinhopping.
-	Backend opt.Minimizer
-	// Bounds optionally restricts the search space.
-	Bounds []opt.Bound
-	// RealDist selects real-valued |l-r| distances instead of the
-	// default ULP metric (for the Limitation-2 ablation).
-	RealDist bool
-	// Workers sets multi-start parallelism: 0 selects runtime.NumCPU(),
-	// 1 runs one worker. The result is identical for every value.
-	Workers int
-}
-
 // Verdict is a satisfiability answer.
 type Verdict int
 
@@ -284,13 +262,15 @@ type Result struct {
 	Canceled bool `json:"canceled,omitempty"`
 }
 
-// Solve decides the formula by weak-distance minimization, cancellable
-// through ctx at evaluation granularity. A returned model is always
-// verified by concrete evaluation (§5.2 guard), so Sat answers are
-// sound; Unknown answers may be incomplete.
-func Solve(ctx context.Context, f *Formula, o Options) Result {
+// Solve decides the formula by weak-distance minimization under the
+// Algorithm 2 options o, cancellable through ctx at evaluation
+// granularity. The atom distances are ULP distances unless realDist
+// selects real-valued |l-r| ones (the Limitation-2 ablation). A
+// returned model is always verified by concrete evaluation (§5.2
+// guard), so Sat answers are sound; Unknown answers may be incomplete.
+func Solve(ctx context.Context, f *Formula, o core.Options, realDist bool) Result {
 	dim := f.Dim()
-	w := f.WeakDistance(!o.RealDist)
+	w := f.WeakDistance(!realDist)
 	if dim == 0 {
 		// Ground formula: evaluate directly. R on the empty assignment is
 		// the exact minimum, and finite (R clamps to MaxFloat), so the
@@ -308,14 +288,7 @@ func Solve(ctx context.Context, f *Formula, o Options) Result {
 		NewW:   func() core.WeakDistance { return w },
 		Member: f.Eval,
 	}
-	r := core.Solve(ctx, prob, core.Options{
-		Backend:       o.Backend,
-		Starts:        o.Starts,
-		EvalsPerStart: o.EvalsPerStart,
-		Seed:          o.Seed,
-		Bounds:        o.Bounds,
-		Workers:       o.Workers,
-	})
+	r := core.Solve(ctx, prob, o)
 	if r.Found {
 		return Result{Verdict: Sat, Model: r.X, MinDistance: 0, Evals: r.Evals}
 	}

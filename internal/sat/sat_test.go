@@ -7,23 +7,24 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/fp"
 	"repro/internal/opt"
 )
 
-func solveText(t *testing.T, src string, o Options) (Result, *Formula) {
+func solveText(t *testing.T, src string, o core.Options, realDist bool) (Result, *Formula) {
 	t.Helper()
 	f, _, err := Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	return Solve(context.Background(), f, o), f
+	return Solve(context.Background(), f, o, realDist), f
 }
 
 func TestMotivatingConstraintRoundToNearest(t *testing.T) {
 	// §1: x < 1 && x + 1 >= 2 is satisfiable under round-to-nearest
 	// (x = 0.9999999999999999); MathSAT agrees.
-	r, f := solveText(t, "x < 1 && x + 1 >= 2", Options{Seed: 1, Bounds: []opt.Bound{{Lo: -4, Hi: 4}}})
+	r, f := solveText(t, "x < 1 && x + 1 >= 2", core.Options{Seed: 1, Bounds: []opt.Bound{{Lo: -4, Hi: 4}}}, false)
 	if r.Verdict != Sat {
 		t.Fatalf("expected SAT, got %+v", r)
 	}
@@ -39,10 +40,10 @@ func TestUnsatReportsUnknown(t *testing.T) {
 	// x < 1 && x > 2 has no models; with a bounded budget the solver
 	// reports Unknown with a positive residual (Limitation 3: it cannot
 	// prove UNSAT, but it must not report SAT).
-	r, _ := solveText(t, "x < 1 && x > 2", Options{
+	r, _ := solveText(t, "x < 1 && x > 2", core.Options{
 		Seed: 2, Starts: 3, EvalsPerStart: 3000,
 		Bounds: []opt.Bound{{Lo: -100, Hi: 100}},
-	})
+	}, false)
 	if r.Verdict == Sat {
 		t.Fatalf("unsound SAT on an unsatisfiable formula: %+v", r)
 	}
@@ -52,7 +53,7 @@ func TestUnsatReportsUnknown(t *testing.T) {
 }
 
 func TestDisjunction(t *testing.T) {
-	r, f := solveText(t, "x == 5 || x == -7", Options{Seed: 3, Bounds: []opt.Bound{{Lo: -100, Hi: 100}}})
+	r, f := solveText(t, "x == 5 || x == -7", core.Options{Seed: 3, Bounds: []opt.Bound{{Lo: -100, Hi: 100}}}, false)
 	if r.Verdict != Sat || !f.Eval(r.Model) {
 		t.Fatalf("%+v", r)
 	}
@@ -62,7 +63,7 @@ func TestDisjunction(t *testing.T) {
 }
 
 func TestMultiVariable(t *testing.T) {
-	r, f := solveText(t, "x + y == 10 && x - y == 4", Options{Seed: 4, Bounds: []opt.Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}}})
+	r, f := solveText(t, "x + y == 10 && x - y == 4", core.Options{Seed: 4, Bounds: []opt.Bound{{Lo: -100, Hi: 100}, {Lo: -100, Hi: 100}}}, false)
 	if r.Verdict != Sat {
 		t.Fatalf("%+v", r)
 	}
@@ -73,7 +74,7 @@ func TestMultiVariable(t *testing.T) {
 
 func TestTranscendentalAtom(t *testing.T) {
 	// The class SMT solvers cannot handle (§1): constraints through tan.
-	r, f := solveText(t, "x < 1 && x + tan(x) >= 2", Options{Seed: 5, Bounds: []opt.Bound{{Lo: -1.5, Hi: 1}}})
+	r, f := solveText(t, "x < 1 && x + tan(x) >= 2", core.Options{Seed: 5, Bounds: []opt.Bound{{Lo: -1.5, Hi: 1}}}, false)
 	if r.Verdict != Sat {
 		t.Fatalf("expected SAT, got %+v", r)
 	}
@@ -102,7 +103,7 @@ func TestModelsAlwaysVerified(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		r := Solve(context.Background(), f, Options{Seed: 6, Starts: 4, EvalsPerStart: 8000, Bounds: boundsFor(f.Dim(), -50, 50)})
+		r := Solve(context.Background(), f, core.Options{Seed: 6, Starts: 4, EvalsPerStart: 8000, Bounds: boundsFor(f.Dim(), -50, 50)}, false)
 		if r.Verdict == Sat && !f.Eval(r.Model) {
 			t.Errorf("%q: unsound model %v", src, r.Model)
 		}
@@ -151,7 +152,7 @@ func TestRealDistanceLimitation2(t *testing.T) {
 	// x*x == 0 holds for |x| < ~1.5e-162 by underflow — these ARE
 	// genuine floating-point models (the comparison is over FP values),
 	// so SAT with e.g. x=1e-200 is correct here.
-	r := Solve(context.Background(), f, Options{Seed: 7, RealDist: true, Bounds: []opt.Bound{{Lo: -1, Hi: 1}}})
+	r := Solve(context.Background(), f, core.Options{Seed: 7, Bounds: []opt.Bound{{Lo: -1, Hi: 1}}}, true)
 	if r.Verdict != Sat {
 		t.Fatalf("%+v", r)
 	}
@@ -161,20 +162,20 @@ func TestRealDistanceLimitation2(t *testing.T) {
 }
 
 func TestGroundFormula(t *testing.T) {
-	r, _ := solveText(t, "1 < 2", Options{})
+	r, _ := solveText(t, "1 < 2", core.Options{}, false)
 	if r.Verdict != Sat {
 		t.Errorf("ground true formula: %+v", r)
 	}
-	r2, _ := solveText(t, "2 < 1", Options{})
+	r2, _ := solveText(t, "2 < 1", core.Options{}, false)
 	if r2.Verdict == Sat {
 		t.Errorf("ground false formula: %+v", r2)
 	}
 	// The minimum distance of a false ground formula is its R, which is
 	// positive and finite (an infinite one is not JSON-serializable).
-	for _, o := range []Options{{}, {RealDist: true}} {
-		r3, _ := solveText(t, "1 < 0", o)
+	for _, realDist := range []bool{false, true} {
+		r3, _ := solveText(t, "1 < 0", core.Options{}, realDist)
 		if r3.Verdict == Sat || !(r3.MinDistance > 0) || math.IsInf(r3.MinDistance, 0) {
-			t.Errorf("ground false formula (RealDist=%v): %+v, want Unknown with finite positive MinDistance", o.RealDist, r3)
+			t.Errorf("ground false formula (realDist=%v): %+v, want Unknown with finite positive MinDistance", realDist, r3)
 		}
 	}
 }

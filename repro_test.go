@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/gsl"
 	"repro/internal/instrument"
 	"repro/internal/libm"
@@ -27,16 +28,19 @@ func TestPaperHeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := sat.Solve(context.Background(), f, sat.Options{Seed: 1, Bounds: []opt.Bound{{Lo: -4, Hi: 4}}})
+	sr := sat.Solve(context.Background(), f, core.Options{Seed: 1, Bounds: []opt.Bound{{Lo: -4, Hi: 4}}}, false)
 	if sr.Verdict != sat.Sat || sr.Model[0] != 0.9999999999999999 {
 		t.Errorf("motivating constraint: %+v", sr)
 	}
 
 	// (2) sin boundary conditions (reduced budget; full run in
 	// internal/paper).
-	rep := analysis.BoundaryValues(context.Background(), libm.SinProgram(), analysis.BoundaryOptions{
-		Seed: 1, Starts: 48, EvalsPerStart: 4000,
+	rep, err := analysis.BoundaryValues(context.Background(), libm.SinProgram(), analysis.Spec{
+		Seed: 1, Starts: 48, Evals: 4000,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	reached := 0
 	for site := 0; site < 4; site++ {
 		for _, neg := range []bool{false, true} {
@@ -69,10 +73,16 @@ func TestPaperHeadlines(t *testing.T) {
 	}
 
 	// Bonus: Fig. 2's assertion analysis end to end.
-	r := analysis.AssertionViolations(context.Background(), progs.Fig1a(), []instrument.Decision{
-		{Site: progs.Fig1BranchLT1, Taken: true},
-		{Site: progs.Fig1BranchLT2, Taken: false},
-	}, analysis.ReachOptions{Seed: 1, Bounds: []opt.Bound{{Lo: -10, Hi: 10}}})
+	r, err := analysis.ReachPath(context.Background(), progs.Fig1a(), analysis.Spec{
+		Seed: 1, Bounds: []opt.Bound{{Lo: -10, Hi: 10}},
+		Path: []instrument.Decision{
+			{Site: progs.Fig1BranchLT1, Taken: true},
+			{Site: progs.Fig1BranchLT2, Taken: false},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Found || r.X[0] != 0.9999999999999999 {
 		t.Errorf("Fig. 1(a) violation: %v", r)
 	}
