@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -34,8 +35,8 @@ type Client struct {
 	// Base is the worker's base URL ("http://host:port").
 	Base string
 	// HC is the HTTP client (nil = a default with no global timeout;
-	// callers bound requests with contexts instead, because result
-	// polls on a busy worker legitimately take long).
+	// callers bound requests with contexts instead, because a result
+	// stream stays open as long as its sub-batch runs).
 	HC *http.Client
 }
 
@@ -68,11 +69,14 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("%s %s: status %d: %s", e.Method, e.Path, e.Code, e.Detail)
 }
 
+// maxBody caps what the client reads of one worker answer: a response
+// body, or one line of an event stream.
+const maxBody = 16 << 20
+
 // do issues one request and decodes the response into out (when
-// non-nil), mapping non-2xx answers to errors: 429 becomes
-// *ErrWorkerBusy, everything else an error quoting the problem
-// document. Transport failures are returned as-is — the caller's
-// signal that the worker, not the request, is in trouble.
+// non-nil), mapping non-2xx answers through answerError. Transport
+// failures are returned as-is — the caller's signal that the worker,
+// not the request, is in trouble.
 func (c *Client) do(ctx context.Context, method, path string, body any, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -94,10 +98,25 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
 	if err != nil {
 		return err
 	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return answerError(resp, data, method, path)
+	}
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			return fmt.Errorf("decoding %s %s: %w", method, path, err)
+		}
+	}
+	return nil
+}
+
+// answerError maps a non-2xx worker answer with body data to an error:
+// 429 becomes *ErrWorkerBusy, everything else a *StatusError quoting
+// the problem document.
+func answerError(resp *http.Response, data []byte, method, path string) error {
 	if resp.StatusCode == http.StatusTooManyRequests {
 		busy := &ErrWorkerBusy{}
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
@@ -109,22 +128,14 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 		}
 		return busy
 	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		se := &StatusError{Code: resp.StatusCode, Method: method, Path: path}
-		var p problemDoc
-		if json.Unmarshal(data, &p) == nil && p.Title != "" {
-			se.Title, se.Detail = p.Title, p.Detail
-		} else {
-			se.Detail = string(data)
-		}
-		return se
+	se := &StatusError{Code: resp.StatusCode, Method: method, Path: path}
+	var p problemDoc
+	if json.Unmarshal(data, &p) == nil && p.Title != "" {
+		se.Title, se.Detail = p.Title, p.Detail
+	} else {
+		se.Detail = string(data)
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("decoding %s %s: %w", method, path, err)
-		}
-	}
-	return nil
+	return se
 }
 
 // Healthz probes the worker's liveness endpoint.
@@ -164,12 +175,67 @@ func (c *Client) SubmitJobs(ctx context.Context, jobs []pipeline.V1Job) (string,
 	return sub.ID, nil
 }
 
-// Page fetches one result page of a worker-side job.
-func (c *Client) Page(ctx context.Context, jobID string, offset, limit int) (pipeline.JobView, error) {
-	var v pipeline.JobView
-	path := fmt.Sprintf("/v1/jobs/%s?offset=%d&limit=%d", jobID, offset, limit)
-	err := c.do(ctx, http.MethodGet, path, nil, &v)
-	return v, err
+// Follow reads a worker job's event stream (GET /v1/jobs/{id}/events)
+// from its start and calls fn with each result event's data, in
+// emission order, until the done event; it returns the status that
+// event reports. data is valid only until fn returns. A stream opened
+// again replays every result from the first, so a caller that
+// reconnects skips those it has. An error from fn ends the read and is
+// returned as-is; non-200 answers map as in do.
+func (c *Client) Follow(ctx context.Context, jobID string, fn func(data json.RawMessage) error) (pipeline.JobStatus, error) {
+	path := "/v1/jobs/" + jobID + "/events"
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+	if err != nil {
+		return "", err
+	}
+	resp, err := c.hc().Do(req)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+		if err != nil {
+			return "", err
+		}
+		return "", answerError(resp, data, http.MethodGet, path)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, maxBody)
+	event := ""
+	for sc.Scan() {
+		line := sc.Bytes()
+		if name, ok := bytes.CutPrefix(line, []byte("event: ")); ok {
+			event = string(name)
+			continue
+		}
+		data, ok := bytes.CutPrefix(line, []byte("data: "))
+		if !ok {
+			continue
+		}
+		switch event {
+		case "result":
+			if err := fn(data); err != nil {
+				return "", err
+			}
+		case "done":
+			var done struct {
+				Status pipeline.JobStatus `json:"status"`
+			}
+			if err := json.Unmarshal(data, &done); err != nil {
+				return "", fmt.Errorf("decoding the done event of %s: %w", path, err)
+			}
+			// Read to the end, so the connection goes back to the pool.
+			// The job's outcome is known by now: a failed read changes
+			// nothing but the connection's reuse.
+			io.Copy(io.Discard, resp.Body)
+			return done.Status, nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return "", err
+	}
+	return "", fmt.Errorf("GET %s: %w before the done event", path, io.ErrUnexpectedEOF)
 }
 
 // Cancel requests cancellation of a worker-side job.

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"testing"
@@ -78,19 +79,28 @@ func startWorkers(t testing.TB, n, pipelineWorkers int) []*worker {
 	t.Helper()
 	ws := make([]*worker, n)
 	for i := range ws {
-		srv := pipeline.NewServer(pipelineWorkers)
-		ts := httptest.NewServer(srv.Handler())
-		ws[i] = &worker{srv: srv, ts: ts}
+		ws[i] = startWorker(t, pipelineWorkers, nil)
 	}
-	t.Cleanup(func() {
-		for _, w := range ws {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			w.srv.Engine.Shutdown(ctx)
-			cancel()
-			w.ts.Close()
-		}
-	})
 	return ws
+}
+
+// startWorker starts one node; wrap, when non-nil, sits in front of
+// its handler.
+func startWorker(t testing.TB, pipelineWorkers int, wrap func(http.Handler) http.Handler) *worker {
+	t.Helper()
+	srv := pipeline.NewServer(pipelineWorkers)
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	w := &worker{srv: srv, ts: httptest.NewServer(h)}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		w.srv.Engine.Shutdown(ctx)
+		cancel()
+		w.ts.Close()
+	})
+	return w
 }
 
 // coordEngine builds a job engine whose Runner is a coordinator over
@@ -102,9 +112,6 @@ func coordEngine(t testing.TB, ws []*worker, cfg cluster.Config) (*pipeline.JobE
 	}
 	if cfg.ProbeEvery == 0 {
 		cfg.ProbeEvery = 50 * time.Millisecond
-	}
-	if cfg.PollEvery == 0 {
-		cfg.PollEvery = 2 * time.Millisecond
 	}
 	if cfg.DeadAfter == 0 {
 		cfg.DeadAfter = 2

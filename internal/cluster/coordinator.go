@@ -22,25 +22,20 @@ const (
 	// DefaultDeadAfter is how many consecutive probe failures take a
 	// worker out of the ring.
 	DefaultDeadAfter = 3
-	// DefaultPollEvery is the base result-poll interval; polls back off
-	// (doubling, capped at 32× base) while a sub-batch is quiet and
-	// snap back on progress.
-	DefaultPollEvery = 5 * time.Millisecond
 	// DefaultHTTPTimeout bounds each control-plane request (probe,
-	// registration, submit, page) — long minimizations live on the
-	// worker, not in any one poll.
+	// registration, submit, cancel). A result stream has no such bound:
+	// it stays open while its sub-batch runs, and ends when the probe
+	// loop marks its worker dead.
 	DefaultHTTPTimeout = 15 * time.Second
 	// DefaultNoWorkerGrace is how long routing waits out a fully dead
 	// fleet before failing the affected jobs.
 	DefaultNoWorkerGrace = 30 * time.Second
 	// dispatchAttempts bounds how many times one job is re-routed after
 	// worker failures before it fails with an error result. Each
-	// attempt already carries its own submit/poll retry budget, so this
+	// attempt already carries its own submit/stream retry budget, so this
 	// limit only fires when the fleet is melting down faster than the
 	// probe loop can notice.
 	dispatchAttempts = 4
-	// pageLimit is the result-page size the dispatcher polls with.
-	pageLimit = 256
 )
 
 // Config configures a Coordinator.
@@ -57,8 +52,6 @@ type Config struct {
 	// DeadAfter is the consecutive-probe-failure threshold that marks a
 	// worker dead (0 = DefaultDeadAfter).
 	DeadAfter int
-	// PollEvery is the base result-poll interval (0 = DefaultPollEvery).
-	PollEvery time.Duration
 	// HTTPTimeout bounds individual worker requests (0 = DefaultHTTPTimeout).
 	HTTPTimeout time.Duration
 	// NoWorkerGrace is how long jobs wait for a live worker before
@@ -87,6 +80,12 @@ type workerState struct {
 	// sent before a kill must not overturn the kill.
 	stateMu sync.Mutex
 	gen     int64
+	// live ends when the worker is marked dead and is renewed when it
+	// rejoins. Every result stream open to the worker ends with it, so
+	// a death the probe loop notices also ends a stream that would
+	// otherwise block on a silent connection.
+	live context.Context
+	kill context.CancelFunc
 
 	// Routing/attribution counters, surfaced in /stats.
 	inflight   atomic.Int64 // jobs assigned, result not yet delivered
@@ -98,6 +97,14 @@ type workerState struct {
 
 	regMu      sync.Mutex
 	registered map[string]bool // program IDs this coordinator registered here
+}
+
+// liveCtx returns the context that ends when the worker is next marked
+// dead.
+func (w *workerState) liveCtx() context.Context {
+	w.stateMu.Lock()
+	defer w.stateMu.Unlock()
+	return w.live
 }
 
 func (w *workerState) isRegistered(id string) bool {
@@ -168,6 +175,7 @@ func New(cfg Config) (*Coordinator, error) {
 			registered: map[string]bool{},
 		}
 		w.alive.Store(true)
+		w.live, w.kill = context.WithCancel(context.Background())
 		c.workers[name] = w
 		c.order = append(c.order, name)
 		c.ring.Add(name)
@@ -204,13 +212,6 @@ func (c *Coordinator) deadAfter() int {
 		return c.cfg.DeadAfter
 	}
 	return DefaultDeadAfter
-}
-
-func (c *Coordinator) pollEvery() time.Duration {
-	if c.cfg.PollEvery > 0 {
-		return c.cfg.PollEvery
-	}
-	return DefaultPollEvery
 }
 
 func (c *Coordinator) httpTimeout() time.Duration {
@@ -326,6 +327,7 @@ func (c *Coordinator) probe(w *workerState) {
 		return
 	}
 	w.alive.Store(true)
+	w.live, w.kill = context.WithCancel(context.Background())
 	// A restarted worker has an empty program store: forget what we
 	// registered so first routing re-registers lazily.
 	w.regMu.Lock()
@@ -337,7 +339,8 @@ func (c *Coordinator) probe(w *workerState) {
 
 // markDead records death evidence against the worker — bumping its
 // generation, so no probe already in flight can revive it — and takes
-// it out of the ring, reporting whether it was alive.
+// it out of the ring, ending every result stream open to it. It reports
+// whether the worker was alive.
 func (c *Coordinator) markDead(w *workerState) bool {
 	w.stateMu.Lock()
 	defer w.stateMu.Unlock()
@@ -346,6 +349,7 @@ func (c *Coordinator) markDead(w *workerState) bool {
 		return false
 	}
 	w.alive.Store(false)
+	w.kill()
 	w.deaths.Add(1)
 	c.ring.SetAlive(w.name, false)
 	return true
@@ -544,12 +548,12 @@ func RouteKey(j pipeline.Job) string {
 
 // runGroup executes one worker's sub-batch: lazy program registration,
 // submit (retrying 429s under the fleet backpressure contract), then
-// offset-polling delivery in order. It returns the indices it could
-// not finish — the caller requeues them — or delivers everything and
-// returns nil. A coordinator-side cancellation (ctx) is not a failure:
-// the worker job is cancelled, its terminal results are collected
-// briefly, and anything still missing is synthesized exactly as a
-// local cancelled batch would report it.
+// in-order delivery from the worker job's event stream. It returns the
+// indices it could not finish — the caller requeues them — or delivers
+// everything and returns nil. A coordinator-side cancellation (ctx) is
+// not a failure: the worker job is cancelled, its terminal results are
+// collected briefly, and anything still missing is synthesized exactly
+// as a local cancelled batch would report it.
 func (c *Coordinator) runGroup(ctx context.Context, w *workerState, jobs []pipeline.Job, base int, idxs []int, deliver func(int, json.RawMessage)) ([]int, error) {
 	// Lazy idempotent registration: every distinct program in the
 	// group that this coordinator has not yet registered on w.
@@ -592,7 +596,7 @@ func (c *Coordinator) runGroup(ctx context.Context, w *workerState, jobs []pipel
 	// the coordinator's admission watermark and the sub-batch retries
 	// after the worker's own hint. Transport errors get a bounded retry
 	// before the group is declared failed.
-	submitB := pipeline.Backoff{Base: 20 * time.Millisecond, Max: time.Second,
+	retryB := pipeline.Backoff{Base: 20 * time.Millisecond, Max: time.Second,
 		Seed: c.cfg.Seed ^ int64(hash64(w.name))}
 	var jobID string
 	transportFails := 0
@@ -614,7 +618,7 @@ func (c *Coordinator) runGroup(ctx context.Context, w *workerState, jobs []pipel
 		if errors.As(err, &busy) {
 			c.noteShed(w, busy.RetryAfter)
 			delay := busy.RetryAfter
-			if d := submitB.Delay(minInt(attempt, 6)); d > delay {
+			if d := retryB.Delay(minInt(attempt, 6)); d > delay {
 				delay = d
 			}
 			select {
@@ -632,91 +636,95 @@ func (c *Coordinator) runGroup(ctx context.Context, w *workerState, jobs []pipel
 			return idxs, fmt.Errorf("submitting to %s: %w", w.name, err)
 		}
 		select {
-		case <-time.After(submitB.Delay(transportFails - 1)):
+		case <-time.After(retryB.Delay(transportFails - 1)):
 		case <-ctx.Done():
 		}
 	}
 
-	// Poll pages in order. served counts results delivered — it is both
-	// the next page offset and the cursor into idxs, so delivery order
-	// within the group matches worker emission order (batch order).
-	pollB := pipeline.Backoff{Base: c.pollEvery(), Max: c.httpTimeout(),
-		Seed: c.cfg.Seed ^ int64(hash64(jobID))}
+	// Follow the job's event stream. served counts results delivered —
+	// the cursor into idxs, so delivery order within the group matches
+	// worker emission order (batch order). A dropped stream is read
+	// again from its start, skipping the served prefix, under the same
+	// bounded backoff as submits; a read that delivers resets the count.
 	served := 0
-	pollFails := 0
-	quiet := 0
+	fails := 0
 	for {
-		if ctx.Err() != nil {
-			return nil, c.finishCanceled(ctx, w, jobID, jobs, base, idxs, served, deliver)
-		}
-		if !w.alive.Load() {
-			c.bestEffortCancel(w, jobID)
-			return idxs[served:], fmt.Errorf("worker %s marked dead mid-batch (%d/%d results in)",
-				w.name, served, len(idxs))
-		}
-		pctx, cancel := context.WithTimeout(ctx, c.httpTimeout())
-		view, err := w.client.Page(pctx, jobID, served, pageLimit)
-		cancel()
-		if err != nil {
-			if ctx.Err() != nil {
-				continue
-			}
-			if errNotFound(err) {
-				// A vanished job means the worker restarted (or evicted it):
-				// suspect it so the requeue routes to survivors, and so its
-				// rejoin re-registers programs against the empty store.
-				c.suspect(w, err)
-				return idxs[served:], fmt.Errorf("job %s vanished on %s (restart or eviction)", jobID, w.name)
-			}
-			pollFails++
-			if pollFails > 6 {
-				var se *StatusError
-				if !errors.As(err, &se) {
-					c.suspect(w, err)
-				}
-				c.bestEffortCancel(w, jobID)
-				return idxs[served:], fmt.Errorf("polling %s on %s: %w", jobID, w.name, err)
-			}
-			select {
-			case <-time.After(pollB.Delay(pollFails - 1)):
-			case <-ctx.Done():
-			}
-			continue
-		}
-		pollFails = 0
-		for _, raw := range view.Results {
-			if served >= len(idxs) {
-				break
-			}
+		live := w.liveCtx()
+		sctx, cancel := context.WithCancel(ctx)
+		stop := context.AfterFunc(live, cancel)
+		before := served
+		status, err := w.client.Follow(sctx, jobID, skipServed(served, len(idxs), func(raw json.RawMessage) error {
 			if ctx.Err() == nil && resultCanceled(raw) {
 				// The worker cancelled under us (drain, shutdown, local
 				// deadline) while the coordinator still wants the
 				// results: everything from here re-runs on survivors.
-				c.bestEffortCancel(w, jobID)
-				return idxs[served:], fmt.Errorf("worker %s cancelled job %s mid-batch", w.name, jobID)
+				return errWorkerCanceled
 			}
 			i := idxs[served]
 			deliver(i, reindex(raw, base+i))
 			w.inflight.Add(-1)
 			served++
-		}
-		if served == len(idxs) {
+			return nil
+		}))
+		stop()
+		cancel()
+		switch {
+		case served == len(idxs):
 			return nil, nil
-		}
-		if view.Status != pipeline.JobRunning && view.NextOffset == nil {
+		case ctx.Err() != nil:
+			return nil, c.finishCanceled(ctx, w, jobID, jobs, base, idxs, served, deliver)
+		case err == nil:
 			return idxs[served:], fmt.Errorf("job %s on %s ended %q with %d/%d results",
-				jobID, w.name, view.Status, served, len(idxs))
+				jobID, w.name, status, served, len(idxs))
+		case errors.Is(err, errWorkerCanceled):
+			c.bestEffortCancel(w, jobID)
+			return idxs[served:], fmt.Errorf("worker %s cancelled job %s mid-batch", w.name, jobID)
+		case live.Err() != nil:
+			c.bestEffortCancel(w, jobID)
+			return idxs[served:], fmt.Errorf("worker %s marked dead mid-batch (%d/%d results in)",
+				w.name, served, len(idxs))
+		case errNotFound(err):
+			// A vanished job means the worker restarted (or evicted it):
+			// suspect it so the requeue routes to survivors, and so its
+			// rejoin re-registers programs against the empty store.
+			c.suspect(w, err)
+			return idxs[served:], fmt.Errorf("job %s vanished on %s (restart or eviction)", jobID, w.name)
 		}
-		if len(view.Results) > 0 {
-			quiet = 0
-			continue // drain fast while results flow
+		if served > before {
+			fails = 0
 		}
-		quiet++
-		wait := c.pollEvery() << minInt(quiet, 5)
+		fails++
+		if fails > 6 {
+			var se *StatusError
+			if !errors.As(err, &se) {
+				c.suspect(w, err)
+			}
+			c.bestEffortCancel(w, jobID)
+			return idxs[served:], fmt.Errorf("following %s on %s: %w", jobID, w.name, err)
+		}
 		select {
-		case <-time.After(wait):
+		case <-time.After(retryB.Delay(fails - 1)):
 		case <-ctx.Done():
+		case <-live.Done():
 		}
+	}
+}
+
+// errWorkerCanceled ends a stream at a result the worker cancelled
+// while the coordinator still wants it.
+var errWorkerCanceled = errors.New("cluster: the worker cancelled a job mid-batch")
+
+// skipServed adapts take to a stream read from its start: the first
+// served results, which an earlier read delivered, are passed over, and
+// so is anything past the sub-batch's n results.
+func skipServed(served, n int, take func(json.RawMessage) error) func(json.RawMessage) error {
+	seen := 0
+	return func(raw json.RawMessage) error {
+		seen++
+		if seen <= served || seen > n {
+			return nil
+		}
+		return take(raw)
 	}
 }
 
@@ -728,35 +736,17 @@ func (c *Coordinator) runGroup(ctx context.Context, w *workerState, jobs []pipel
 // index is delivered, so Run's drain completes.
 func (c *Coordinator) finishCanceled(ctx context.Context, w *workerState, jobID string, jobs []pipeline.Job, base int, idxs []int, served int, deliver func(int, json.RawMessage)) error {
 	if jobID != "" {
+		// Errors are not checked: whatever the stream does not deliver
+		// within the bound is synthesized below.
 		bg, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		w.client.Cancel(bg, jobID)
-		for served < len(idxs) {
-			view, err := w.client.Page(bg, jobID, served, pageLimit)
-			if err != nil {
-				break
-			}
-			for _, raw := range view.Results {
-				if served >= len(idxs) {
-					break
-				}
-				i := idxs[served]
-				deliver(i, reindex(raw, base+i))
-				w.inflight.Add(-1)
-				served++
-			}
-			if view.Status != pipeline.JobRunning && view.NextOffset == nil {
-				break
-			}
-			if len(view.Results) == 0 {
-				select {
-				case <-time.After(c.pollEvery()):
-				case <-bg.Done():
-				}
-				if bg.Err() != nil {
-					break
-				}
-			}
-		}
+		w.client.Follow(bg, jobID, skipServed(served, len(idxs), func(raw json.RawMessage) error {
+			i := idxs[served]
+			deliver(i, reindex(raw, base+i))
+			w.inflight.Add(-1)
+			served++
+			return nil
+		}))
 		cancel()
 	}
 	for ; served < len(idxs); served++ {
@@ -818,7 +808,8 @@ var indexPrefix = []byte(`{"index":`)
 // reindex rewrites a worker result's leading index field to the
 // coordinator's batch index, leaving every other byte of the worker's
 // wire result untouched — the stitched batch is byte-identical to a
-// single-node run.
+// single-node run. The result never shares raw's memory, which the
+// event stream reuses.
 func reindex(raw json.RawMessage, index int) json.RawMessage {
 	rest, ok := cutPrefix(raw, indexPrefix)
 	if ok {
@@ -842,7 +833,7 @@ func reindex(raw json.RawMessage, index int) json.RawMessage {
 			return b
 		}
 	}
-	return raw
+	return append(json.RawMessage(nil), raw...)
 }
 
 func cutPrefix(b, prefix []byte) ([]byte, bool) {

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
 func TestRingStableOwnership(t *testing.T) {
@@ -27,6 +29,43 @@ func TestRingStableOwnership(t *testing.T) {
 	for _, m := range members {
 		if hits[m] == 0 {
 			t.Fatalf("member %s owns none of 1000 keys: %v", m, hits)
+		}
+	}
+}
+
+// TestRingSpreadsSimilarNames checks that members whose names differ
+// only in their last bytes — workers on adjacent loopback ports, or
+// a:1, b:1 and c:1 — split the key space evenly: no member of a pair
+// owns more than 65% of 2000 program keys, and none of a trio less
+// than 20%. Without hash64's finalizer the busier worker of these
+// pairs owned up to 96%, and b:1 12%.
+func TestRingSpreadsSimilarNames(t *testing.T) {
+	keys := make([]string, 2000)
+	for i := range keys {
+		keys[i] = pipeline.SourceID(fmt.Sprintf("program %d", i))
+	}
+	shares := func(members ...string) map[string]float64 {
+		r := NewRing(0, 0)
+		for _, m := range members {
+			r.Add(m)
+		}
+		out := map[string]float64{}
+		for _, k := range keys {
+			o, _ := r.Owner(k, nil)
+			out[o] += 1 / float64(len(keys))
+		}
+		return out
+	}
+	for p := 40000; p < 40040; p += 2 {
+		a, b := fmt.Sprintf("127.0.0.1:%d", p), fmt.Sprintf("127.0.0.1:%d", p+1)
+		if s := shares(a, b); s[a] > 0.65 || s[b] > 0.65 {
+			t.Errorf("%s and %s split the keys %.2f/%.2f", a, b, s[a], s[b])
+		}
+	}
+	s := shares("a:1", "b:1", "c:1")
+	for _, m := range []string{"a:1", "b:1", "c:1"} {
+		if s[m] < 0.2 {
+			t.Errorf("%s owns %.2f of the keys: %v", m, s[m], s)
 		}
 	}
 }

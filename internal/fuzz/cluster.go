@@ -207,7 +207,6 @@ func RunCluster(o ClusterOptions) *ClusterResult {
 		Workers:    addrs,
 		ProbeEvery: 50 * time.Millisecond,
 		DeadAfter:  2,
-		PollEvery:  2 * time.Millisecond,
 		Seed:       o.Seed,
 		Logf:       o.Logf,
 	})
