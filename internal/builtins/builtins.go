@@ -77,14 +77,14 @@ func Resolve(name string, arity int) (func(float64) float64, func(float64, float
 	return nil, nil, fmt.Errorf("unknown builtin %s/%d", name, arity)
 }
 
-// Arities returns the name → arity table the type checker consumes.
-func Arities() map[string]int {
-	m := make(map[string]int, len(Unary)+len(Binary))
-	for name := range Unary {
-		m[name] = 1
+// Arity returns the number of arguments the named builtin takes, or 0
+// when there is no such builtin.
+func Arity(name string) int {
+	if _, ok := Unary[name]; ok {
+		return 1
 	}
-	for name := range Binary {
-		m[name] = 2
+	if _, ok := Binary[name]; ok {
+		return 2
 	}
-	return m
+	return 0
 }

@@ -1,7 +1,6 @@
 package compile_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -10,185 +9,28 @@ import (
 
 	"repro/internal/fp"
 	"repro/internal/fplgen"
+	"repro/internal/fuzz"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/rt"
 )
 
 // The differential suite holds the flat-code VM to the tree-walking
-// interpreter, which is the reference semantics: identical results,
-// identical monitor observation sequences (order, site IDs, predicates,
-// operand bits), identical assertion failures, identical step-budget
-// aborts at every budget, and identical early-stop behavior. Any
-// divergence in block fusion, jump offsets, instruction fusion, or step
-// accounting shows up here.
+// interpreter, which is the reference semantics, through the fuzz
+// harness's engine oracle: identical results, identical monitor
+// observation sequences (order, site IDs, predicates, operand bits),
+// identical assertion failures, identical step-budget aborts at every
+// budget 1..48, and identical early stops after each of the first 12
+// FP-op observations. Any divergence in block fusion, jump offsets,
+// instruction fusion, or step accounting shows up here.
+var engineCheck = fuzz.EngineCheck{BudgetSweep: 48, EarlyStops: 12}
 
-// obs is one recorded monitor observation.
-type obs struct {
-	branch bool
-	site   int
-	pred   fp.CmpOp
-	a, b   uint64 // operand/result bits
-}
-
-// tracer records every observation; it can optionally request an early
-// stop after a fixed number of FP-op observations.
-type tracer struct {
-	recs    []obs
-	ops     int
-	stopAt  int // stop when ops reaches stopAt (0 = never)
-	stopped bool
-}
-
-func (t *tracer) Reset() {
-	t.recs = t.recs[:0]
-	t.ops = 0
-	t.stopped = false
-}
-
-func (t *tracer) Branch(site int, op fp.CmpOp, a, b float64) {
-	t.recs = append(t.recs, obs{branch: true, site: site, pred: op,
-		a: math.Float64bits(a), b: math.Float64bits(b)})
-}
-
-func (t *tracer) FPOp(site int, v float64) bool {
-	t.recs = append(t.recs, obs{site: site, a: math.Float64bits(v)})
-	t.ops++
-	if t.stopAt > 0 && t.ops >= t.stopAt {
-		t.stopped = true
-		return true
-	}
-	return false
-}
-
-func (t *tracer) Value() float64 { return float64(len(t.recs)) }
-
-func sameTrace(a, b []obs) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// engines compiles src once and returns (tree, vm) interpreters over
-// the same module.
-func engines(t testing.TB, src string) (*interp.Interp, *interp.Interp) {
+// checkEngines runs the battery for one entry function over inputs and
+// fails on the first divergence.
+func checkEngines(t *testing.T, src, fn string, inputs [][]float64) {
 	t.Helper()
-	mod, err := ir.Compile(src)
-	if err != nil {
-		t.Fatalf("compile: %v\n%s", err, src)
+	if vs := fuzz.CheckEngines(src, fn, inputs, engineCheck); len(vs) > 0 {
+		t.Fatal(vs[0])
 	}
-	tree := interp.New(mod)
-	tree.Engine = interp.EngineTree
-	vm := interp.New(mod)
-	vm.Engine = interp.EngineVM
-	return tree, vm
-}
-
-// checkProgram runs the full differential battery for one entry
-// function on one input.
-func checkProgram(t *testing.T, src, fn string, tree, vm *interp.Interp, x []float64) {
-	t.Helper()
-
-	// Result bits (uninstrumented run).
-	tree.MaxSteps, vm.MaxSteps = 0, 0
-	rt1, err := tree.Run(fn, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt2, err := vm.Run(fn, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(rt1) != math.Float64bits(rt2) &&
-		!(math.IsNaN(rt1) && math.IsNaN(rt2)) {
-		t.Fatalf("%s(%v): tree=%v vm=%v\n%s", fn, x, rt1, rt2, src)
-	}
-
-	// Assertion failures.
-	if len(tree.Failures) != len(vm.Failures) {
-		t.Fatalf("%s(%v): tree recorded %d failures, vm %d\n%s",
-			fn, x, len(tree.Failures), len(vm.Failures), src)
-	}
-	for i := range tree.Failures {
-		tf, vf := tree.Failures[i], vm.Failures[i]
-		if tf.Pos != vf.Pos || tf.Label != vf.Label || fmt.Sprint(tf.Input) != fmt.Sprint(vf.Input) {
-			t.Fatalf("%s(%v): failure %d differs: tree=%v vm=%v", fn, x, i, tf, vf)
-		}
-	}
-	tree.ClearFailures()
-	vm.ClearFailures()
-
-	pt, err := tree.Program(fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pv, err := vm.Program(fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Full observation traces.
-	mt, mv := &tracer{}, &tracer{}
-	wt := pt.Execute(mt, x)
-	wv := pv.Execute(mv, x)
-	if wt != wv || !sameTrace(mt.recs, mv.recs) {
-		t.Fatalf("%s(%v): trace diverges (tree %d obs w=%v, vm %d obs w=%v)\n%s",
-			fn, x, len(mt.recs), wt, len(mv.recs), wv, src)
-	}
-	nOps := mt.ops
-
-	// Step-budget aborts: every small budget, plus a band around the
-	// run's own step count, must abort at the same point with the same
-	// observation prefix and the same NaN marker.
-	for budget := 1; budget <= 48; budget++ {
-		tree.MaxSteps, vm.MaxSteps = budget, budget
-		r1, _ := tree.Run(fn, x)
-		r2, _ := vm.Run(fn, x)
-		if math.Float64bits(r1) != math.Float64bits(r2) &&
-			!(math.IsNaN(r1) && math.IsNaN(r2)) {
-			t.Fatalf("%s(%v) budget=%d: tree=%v vm=%v\n%s", fn, x, budget, r1, r2, src)
-		}
-		mt.Reset()
-		mv.Reset()
-		pt.Execute(mt, x)
-		pv.Execute(mv, x)
-		if !sameTrace(mt.recs, mv.recs) {
-			t.Fatalf("%s(%v) budget=%d: abort trace diverges (tree %d obs, vm %d obs)\n%s",
-				fn, x, budget, len(mt.recs), len(mv.recs), src)
-		}
-	}
-	tree.MaxSteps, vm.MaxSteps = 0, 0
-	tree.ClearFailures()
-	vm.ClearFailures()
-
-	// Monitor early stops after each of the first FP-op observations:
-	// both engines must deliver the identical truncated trace.
-	maxStop := nOps
-	if maxStop > 12 {
-		maxStop = 12
-	}
-	for stop := 1; stop <= maxStop; stop++ {
-		st, sv := &tracer{stopAt: stop}, &tracer{stopAt: stop}
-		w1 := pt.Execute(st, x)
-		w2 := pv.Execute(sv, x)
-		if w1 != w2 || st.stopped != sv.stopped || !sameTrace(st.recs, sv.recs) {
-			t.Fatalf("%s(%v) stopAt=%d: early-stop diverges\n%s", fn, x, stop, src)
-		}
-	}
-	tree.ClearFailures()
-	vm.ClearFailures()
-}
-
-// defaultInputs is the shared differential input battery, now owned by
-// internal/fplgen so the fuzz harness draws the same sweep.
-func defaultInputs(rng *rand.Rand, dim int) [][]float64 {
-	return fplgen.Inputs(rng, dim)
 }
 
 // TestDifferentialFixtures runs the battery over every testdata FPL
@@ -208,32 +50,22 @@ func TestDifferentialFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		tree, vm := engines(t, string(src))
 		for _, fn := range mod.Order {
 			dim := mod.Funcs[fn].NParams
 			if dim == 0 {
 				continue
 			}
-			for _, x := range defaultInputs(rng, dim) {
-				checkProgram(t, string(src), fn, tree, vm, x)
-			}
+			checkEngines(t, string(src), fn, fplgen.Inputs(rng, dim))
 		}
 	}
 }
 
-// --- Randomized program generation ---
-//
-// Unlike the interp-vs-Go-reference differential test, the tree-walker
-// itself is the oracle here, so the generator is free to produce any
-// well-typed terminating program: nested control flow, short-circuit
-// booleans, builtins, user calls (the VM threads these through its
-// explicit frame stack), and asserts. The generator itself lives in
-// internal/fplgen (shared with the fpfuzz harness); its default
-// configuration is bit-compatible with the generator that used to live
-// here, so the seed below produces the exact historical corpus.
-
 // TestDifferentialRandom holds both engines to each other over randomly
-// generated modules and random inputs.
+// generated modules (internal/fplgen, shared with the fpfuzz harness)
+// and random inputs. The tree-walker is the oracle, so the generator is
+// free to produce any well-typed terminating program: nested control
+// flow, short-circuit booleans, builtins, user calls (the VM threads
+// these through its explicit frame stack), and asserts.
 func TestDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20190622))
 	n := 150
@@ -242,11 +74,10 @@ func TestDifferentialRandom(t *testing.T) {
 	}
 	for pi := 0; pi < n; pi++ {
 		src := fplgen.Module(rng)
-		tree, vm := engines(t, src)
-		inputs := defaultInputs(rng, 1)[:8]
-		for _, x := range inputs {
-			checkProgram(t, src, "f", tree, vm, x)
+		if _, err := ir.Compile(src); err != nil {
+			t.Fatalf("compile: %v\n%s", err, src)
 		}
+		checkEngines(t, src, "f", fplgen.Inputs(rng, 1)[:8])
 	}
 }
 
@@ -307,5 +138,3 @@ func (m *countingBoundary) Branch(site int, op fp.CmpOp, a, b float64) {
 }
 func (m *countingBoundary) FPOp(int, float64) bool { return false }
 func (m *countingBoundary) Value() float64         { return m.w }
-
-var _ rt.Monitor = (*tracer)(nil)

@@ -53,9 +53,6 @@ func Add(a, b DD) DD {
 	return DD{Hi: hi, Lo: lo}
 }
 
-// AddFloat returns a + x.
-func AddFloat(a DD, x float64) DD { return Add(a, FromFloat(x)) }
-
 // Sub returns a - b.
 func Sub(a, b DD) DD { return Add(a, Neg(b)) }
 

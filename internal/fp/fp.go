@@ -94,10 +94,6 @@ func AddULPs(x float64, n int64) float64 {
 	return unordKey(k)
 }
 
-// NextAfter returns the next representable value after x in the direction
-// of y (mirrors math.Nextafter; exported here for package locality).
-func NextAfter(x, y float64) float64 { return math.Nextafter(x, y) }
-
 // NextUp returns the smallest float64 strictly greater than x.
 func NextUp(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
 

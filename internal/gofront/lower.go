@@ -7,34 +7,25 @@ import (
 	"go/token"
 	"go/types"
 
+	"repro/internal/builtins"
 	"repro/internal/fp"
 	"repro/internal/ir"
 	"repro/internal/lang"
-	"repro/internal/rt"
 )
 
-// goLowerer lowers one type-checked Go file into an ir.Module. Variable
-// binding is object-keyed: go/types already resolved every identifier
-// to its object, so shadowing and := redeclaration need no scope stack.
+// goLowerer lowers one type-checked Go file into an ir.Module through an
+// ir.Builder. Variable binding is object-keyed: go/types already
+// resolved every identifier to its object, so shadowing and :=
+// redeclaration need no scope stack.
 type goLowerer struct {
 	fset *token.FileSet
 	info *types.Info
-	mod  *ir.Module
-	fn   *ir.Func
-	cur  int // current block index
-
-	vars  map[types.Object]ir.Reg
-	loops []loopFrame
-}
-
-// loopFrame records where break and continue jump inside the innermost
-// enclosing for loop.
-type loopFrame struct {
-	brk, cont int
+	b    *ir.Builder
+	vars map[types.Object]ir.Reg
 }
 
 func (l *goLowerer) lowerFile(file *ast.File) (*ir.Module, error) {
-	l.mod = &ir.Module{Funcs: map[string]*ir.Func{}}
+	l.b = ir.NewBuilder()
 	for _, decl := range file.Decls {
 		switch d := decl.(type) {
 		case *ast.GenDecl:
@@ -53,16 +44,14 @@ func (l *goLowerer) lowerFile(file *ast.File) (*ir.Module, error) {
 			}
 		}
 	}
-	if len(l.mod.Order) == 0 {
-		return nil, &Diagnostic{Msg: "source declares no functions"}
-	}
-	if err := l.mod.Verify(); err != nil {
-		return nil, fmt.Errorf("lowering produced invalid IR: %w", err)
-	}
-	if err := l.mod.Link(); err != nil {
+	mod, err := l.b.Finish()
+	if err != nil {
 		return nil, err
 	}
-	return l.mod, nil
+	if len(mod.Order) == 0 {
+		return nil, &Diagnostic{Msg: "source declares no functions"}
+	}
+	return mod, nil
 }
 
 func (l *goLowerer) lowerFuncDecl(fd *ast.FuncDecl) error {
@@ -100,16 +89,10 @@ func (l *goLowerer) lowerFuncDecl(fd *ast.FuncDecl) error {
 		}
 	}
 
-	l.fn = &ir.Func{
-		Name:    fd.Name.Name,
-		NParams: sig.Params().Len(),
-		Ret:     ir.RetF,
-	}
+	l.b.BeginFunc(fd.Name.Name, sig.Params().Len(), ir.RetF)
 	l.vars = map[types.Object]ir.Reg{}
-	l.loops = nil
 	for i := 0; i < sig.Params().Len(); i++ {
-		r := l.newReg(ir.RegF)
-		l.vars[sig.Params().At(i)] = r
+		l.vars[sig.Params().At(i)] = l.b.NewReg(ir.RegF)
 	}
 	// Parameter idents in the AST resolve to objects recorded in
 	// info.Defs; map those too (they may differ from sig's objects for
@@ -130,57 +113,27 @@ func (l *goLowerer) lowerFuncDecl(fd *ast.FuncDecl) error {
 		}
 	}
 
-	l.newBlock()
-	l.cur = 0
 	if err := l.lowerBlockStmt(fd.Body); err != nil {
 		return err
 	}
-	if !l.terminated() {
-		// The type checker guarantees all paths return (missing return
-		// is a type error), but unreachable tails still need a
-		// terminator for well-formed IR.
-		z := l.newReg(ir.RegF)
-		pos := l.pos(fd.Pos())
-		l.emit(ir.Instr{Op: ir.ConstF, Dst: z, Val: 0, Site: ir.NoSite, Pos: pos})
-		l.emit(ir.Instr{Op: ir.Ret, A: z, Site: ir.NoSite, Pos: pos})
-	}
-	l.mod.Funcs[fd.Name.Name] = l.fn
-	l.mod.Order = append(l.mod.Order, fd.Name.Name)
+	// The type checker guarantees all paths return (missing return is a
+	// type error), so the epilogue only closes unreachable tails.
+	l.b.EndFunc(l.pos(fd.Pos()))
 	return nil
 }
 
 // --- machinery ---
 
-func (l *goLowerer) newReg(k ir.RegKind) ir.Reg {
-	l.fn.Kinds = append(l.fn.Kinds, k)
-	return ir.Reg(len(l.fn.Kinds) - 1)
-}
-
-func (l *goLowerer) newBlock() int {
-	l.fn.Blocks = append(l.fn.Blocks, ir.Block{})
-	return len(l.fn.Blocks) - 1
-}
-
-func (l *goLowerer) emit(in ir.Instr) {
-	b := &l.fn.Blocks[l.cur]
-	b.Instrs = append(b.Instrs, in)
-}
-
-func (l *goLowerer) terminated() bool {
-	b := l.fn.Blocks[l.cur]
-	if len(b.Instrs) == 0 {
-		return false
-	}
-	switch b.Instrs[len(b.Instrs)-1].Op {
-	case ir.Jmp, ir.CondJmp, ir.Ret:
-		return true
-	}
-	return false
-}
-
 func (l *goLowerer) pos(p token.Pos) lang.Pos {
 	pp := l.fset.Position(p)
 	return lang.Pos{Line: pp.Line, Col: pp.Column}
+}
+
+// site returns the IR position of p and the "file:line:col" rendering
+// that labels the site there.
+func (l *goLowerer) site(p token.Pos) (lang.Pos, string) {
+	pp := l.fset.Position(p)
+	return lang.Pos{Line: pp.Line, Col: pp.Column}, pp.String()
 }
 
 func (l *goLowerer) errf(p token.Pos, format string, args ...any) *Diagnostic {
@@ -191,22 +144,6 @@ func (l *goLowerer) errf(p token.Pos, format string, args ...any) *Diagnostic {
 		Col:  pp.Column,
 		Msg:  fmt.Sprintf(format, args...),
 	}
-}
-
-func (l *goLowerer) siteLabel(p token.Pos, text string) string {
-	return fmt.Sprintf("%s: %s", l.fset.Position(p), text)
-}
-
-func (l *goLowerer) newOpSite(p token.Pos, text string) int {
-	id := len(l.mod.OpSites)
-	l.mod.OpSites = append(l.mod.OpSites, rt.OpInfo{ID: id, Label: l.siteLabel(p, text)})
-	return id
-}
-
-func (l *goLowerer) newBranchSite(p token.Pos, text string, op fp.CmpOp) int {
-	id := len(l.mod.BranchSites)
-	l.mod.BranchSites = append(l.mod.BranchSites, rt.BranchInfo{ID: id, Label: l.siteLabel(p, text), Op: op})
-	return id
 }
 
 func isFloat64(t types.Type) bool {
@@ -260,11 +197,7 @@ func subsetTypeMsg(t types.Type) string {
 
 func (l *goLowerer) lowerBlockStmt(b *ast.BlockStmt) error {
 	for _, s := range b.List {
-		if l.terminated() {
-			// Unreachable code after return/break; lower into a fresh
-			// dead block to keep the IR well formed.
-			l.cur = l.newBlock()
-		}
+		l.b.Open()
 		if err := l.lowerStmt(s); err != nil {
 			return err
 		}
@@ -306,10 +239,10 @@ func (l *goLowerer) lowerStmt(s ast.Stmt) error {
 		if err != nil {
 			return err
 		}
-		if l.fn.Kinds[v] != ir.RegF {
+		if l.b.Kind(v) != ir.RegF {
 			return l.errf(s.Pos(), "return value must be float64")
 		}
-		l.emit(ir.Instr{Op: ir.Ret, A: v, Site: ir.NoSite, Pos: l.pos(s.Pos())})
+		l.b.Ret(v, l.pos(s.Pos()))
 		return nil
 
 	case *ast.ExprStmt:
@@ -370,21 +303,21 @@ func (l *goLowerer) lowerDeclStmt(s *ast.DeclStmt) error {
 			default:
 				return l.errf(name.Pos(), "variable %s: %s", name.Name, subsetTypeMsg(obj.Type()))
 			}
-			r := l.newReg(kind)
+			r := l.b.NewReg(kind)
 			pos := l.pos(name.Pos())
 			if len(vs.Values) > 0 {
 				v, err := l.lowerExpr(vs.Values[i])
 				if err != nil {
 					return err
 				}
-				if l.fn.Kinds[v] != kind {
+				if l.b.Kind(v) != kind {
 					return l.errf(vs.Values[i].Pos(), "initializer kind mismatch for %s", name.Name)
 				}
-				l.emit(ir.Instr{Op: ir.Mov, Dst: r, A: v, Site: ir.NoSite, Pos: pos})
+				l.b.Mov(r, v, pos)
 			} else if kind == ir.RegF {
-				l.emit(ir.Instr{Op: ir.ConstF, Dst: r, Val: 0, Site: ir.NoSite, Pos: pos})
+				l.b.ConstF(r, 0, pos)
 			} else {
-				l.emit(ir.Instr{Op: ir.ConstB, Dst: r, BVal: false, Site: ir.NoSite, Pos: pos})
+				l.b.ConstB(r, false, pos)
 			}
 			if name.Name != "_" {
 				l.vars[obj] = r
@@ -413,19 +346,19 @@ func (l *goLowerer) lowerAssign(s *ast.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		if l.fn.Kinds[dst] != ir.RegF {
+		if l.b.Kind(dst) != ir.RegF {
 			return l.errf(s.Pos(), "%s requires a float64 variable", s.Tok)
 		}
 		v, err := l.lowerExpr(s.Rhs[0])
 		if err != nil {
 			return err
 		}
-		if l.fn.Kinds[v] != ir.RegF {
+		if l.b.Kind(v) != ir.RegF {
 			return l.errf(s.Rhs[0].Pos(), "%s requires a float64 operand", s.Tok)
 		}
+		pos, where := l.site(s.Pos())
 		text := fmt.Sprintf("%s %s %s", types.ExprString(s.Lhs[0]), s.Tok, types.ExprString(s.Rhs[0]))
-		site := l.newOpSite(s.Pos(), text)
-		l.emit(ir.Instr{Op: op, Dst: dst, A: dst, B: v, Site: site, Pos: l.pos(s.Pos()), Label: text})
+		l.b.Arith(op, dst, dst, v, pos, where, text)
 		return nil
 	}
 	switch s.Tok {
@@ -449,8 +382,8 @@ func (l *goLowerer) lowerAssign(s *ast.AssignStmt) error {
 			return err
 		}
 		if len(s.Lhs) > 1 {
-			t := l.newReg(l.fn.Kinds[v])
-			l.emit(ir.Instr{Op: ir.Mov, Dst: t, A: v, Site: ir.NoSite, Pos: l.pos(rhs.Pos())})
+			t := l.b.NewReg(l.b.Kind(v))
+			l.b.Mov(t, v, l.pos(rhs.Pos()))
 			v = t
 		}
 		vals[i] = v
@@ -468,9 +401,9 @@ func (l *goLowerer) lowerAssign(s *ast.AssignStmt) error {
 			if obj := l.info.Defs[id]; obj != nil {
 				// Fresh declaration: bind a new register of the value's
 				// kind.
-				r := l.newReg(l.fn.Kinds[vals[i]])
+				r := l.b.NewReg(l.b.Kind(vals[i]))
 				l.vars[obj] = r
-				l.emit(ir.Instr{Op: ir.Mov, Dst: r, A: vals[i], Site: ir.NoSite, Pos: pos})
+				l.b.Mov(r, vals[i], pos)
 				continue
 			}
 			// Redeclaration in a := with at least one new name: plain
@@ -480,10 +413,10 @@ func (l *goLowerer) lowerAssign(s *ast.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		if l.fn.Kinds[dst] != l.fn.Kinds[vals[i]] {
+		if l.b.Kind(dst) != l.b.Kind(vals[i]) {
 			return l.errf(lhs.Pos(), "assignment kind mismatch for %s", id.Name)
 		}
-		l.emit(ir.Instr{Op: ir.Mov, Dst: dst, A: vals[i], Site: ir.NoSite, Pos: pos})
+		l.b.Mov(dst, vals[i], pos)
 	}
 	return nil
 }
@@ -513,19 +446,17 @@ func (l *goLowerer) lowerIncDec(s *ast.IncDecStmt) error {
 	if err != nil {
 		return err
 	}
-	if l.fn.Kinds[dst] != ir.RegF {
+	if l.b.Kind(dst) != ir.RegF {
 		return l.errf(s.Pos(), "%s requires a float64 variable", s.Tok)
 	}
 	op := ir.FAdd
 	if s.Tok == token.DEC {
 		op = ir.FSub
 	}
-	one := l.newReg(ir.RegF)
-	pos := l.pos(s.Pos())
-	l.emit(ir.Instr{Op: ir.ConstF, Dst: one, Val: 1, Site: ir.NoSite, Pos: pos})
-	text := types.ExprString(s.X) + s.Tok.String()
-	site := l.newOpSite(s.Pos(), text)
-	l.emit(ir.Instr{Op: op, Dst: dst, A: dst, B: one, Site: site, Pos: pos, Label: text})
+	one := l.b.NewReg(ir.RegF)
+	pos, where := l.site(s.Pos())
+	l.b.ConstF(one, 1, pos)
+	l.b.Arith(op, dst, dst, one, pos, where, types.ExprString(s.X)+s.Tok.String())
 	return nil
 }
 
@@ -534,7 +465,7 @@ func (l *goLowerer) lowerCond(e ast.Expr) (ir.Reg, error) {
 	if err != nil {
 		return -1, err
 	}
-	if l.fn.Kinds[c] != ir.RegB {
+	if l.b.Kind(c) != ir.RegB {
 		return -1, l.errf(e.Pos(), "condition must be a bool expression")
 	}
 	return c, nil
@@ -550,32 +481,11 @@ func (l *goLowerer) lowerIf(s *ast.IfStmt) error {
 	if err != nil {
 		return err
 	}
-	pos := l.pos(s.Pos())
-	thenB := l.newBlock()
-	joinB := l.newBlock()
-	elseB := joinB
+	var els func() error
 	if s.Else != nil {
-		elseB = l.newBlock()
+		els = func() error { return l.lowerStmt(s.Else) }
 	}
-	l.emit(ir.Instr{Op: ir.CondJmp, A: cond, Target: thenB, Else: elseB, Site: ir.NoSite, Pos: pos})
-	l.cur = thenB
-	if err := l.lowerBlockStmt(s.Body); err != nil {
-		return err
-	}
-	if !l.terminated() {
-		l.emit(ir.Instr{Op: ir.Jmp, Target: joinB, Site: ir.NoSite, Pos: pos})
-	}
-	if s.Else != nil {
-		l.cur = elseB
-		if err := l.lowerStmt(s.Else); err != nil {
-			return err
-		}
-		if !l.terminated() {
-			l.emit(ir.Instr{Op: ir.Jmp, Target: joinB, Site: ir.NoSite, Pos: pos})
-		}
-	}
-	l.cur = joinB
-	return nil
+	return l.b.If(cond, l.pos(s.Pos()), func() error { return l.lowerBlockStmt(s.Body) }, els)
 }
 
 func (l *goLowerer) lowerFor(s *ast.ForStmt) error {
@@ -584,46 +494,15 @@ func (l *goLowerer) lowerFor(s *ast.ForStmt) error {
 			return err
 		}
 	}
-	pos := l.pos(s.Pos())
-	headB := l.newBlock()
-	bodyB := l.newBlock()
-	exitB := l.newBlock()
-	contB := headB
-	if s.Post != nil {
-		contB = l.newBlock()
-	}
-	l.emit(ir.Instr{Op: ir.Jmp, Target: headB, Site: ir.NoSite, Pos: pos})
-	l.cur = headB
+	var cond func() (ir.Reg, error)
 	if s.Cond != nil {
-		cond, err := l.lowerCond(s.Cond)
-		if err != nil {
-			return err
-		}
-		l.emit(ir.Instr{Op: ir.CondJmp, A: cond, Target: bodyB, Else: exitB, Site: ir.NoSite, Pos: pos})
-	} else {
-		l.emit(ir.Instr{Op: ir.Jmp, Target: bodyB, Site: ir.NoSite, Pos: pos})
+		cond = func() (ir.Reg, error) { return l.lowerCond(s.Cond) }
 	}
-	l.cur = bodyB
-	l.loops = append(l.loops, loopFrame{brk: exitB, cont: contB})
-	err := l.lowerBlockStmt(s.Body)
-	l.loops = l.loops[:len(l.loops)-1]
-	if err != nil {
-		return err
-	}
-	if !l.terminated() {
-		l.emit(ir.Instr{Op: ir.Jmp, Target: contB, Site: ir.NoSite, Pos: pos})
-	}
+	var post func() error
 	if s.Post != nil {
-		l.cur = contB
-		if err := l.lowerStmt(s.Post); err != nil {
-			return err
-		}
-		if !l.terminated() {
-			l.emit(ir.Instr{Op: ir.Jmp, Target: headB, Site: ir.NoSite, Pos: pos})
-		}
+		post = func() error { return l.lowerStmt(s.Post) }
 	}
-	l.cur = exitB
-	return nil
+	return l.b.Loop(l.pos(s.Pos()), cond, func() error { return l.lowerBlockStmt(s.Body) }, post)
 }
 
 func (l *goLowerer) lowerBranch(s *ast.BranchStmt) error {
@@ -632,15 +511,13 @@ func (l *goLowerer) lowerBranch(s *ast.BranchStmt) error {
 	}
 	switch s.Tok {
 	case token.BREAK, token.CONTINUE:
-		if len(l.loops) == 0 {
+		jump := l.b.Break
+		if s.Tok == token.CONTINUE {
+			jump = l.b.Continue
+		}
+		if !jump(l.pos(s.Pos())) {
 			return l.errf(s.Pos(), "%s outside a for loop", s.Tok)
 		}
-		frame := l.loops[len(l.loops)-1]
-		target := frame.brk
-		if s.Tok == token.CONTINUE {
-			target = frame.cont
-		}
-		l.emit(ir.Instr{Op: ir.Jmp, Target: target, Site: ir.NoSite, Pos: l.pos(s.Pos())})
 		return nil
 	case token.GOTO:
 		return l.errf(s.Pos(), "goto is outside the analyzable subset")
@@ -659,12 +536,12 @@ func (l *goLowerer) lowerExpr(e ast.Expr) (ir.Reg, error) {
 		switch tv.Value.Kind() {
 		case constant.Float, constant.Int:
 			f, _ := constant.Float64Val(constant.ToFloat(tv.Value))
-			r := l.newReg(ir.RegF)
-			l.emit(ir.Instr{Op: ir.ConstF, Dst: r, Val: f, Site: ir.NoSite, Pos: l.pos(e.Pos())})
+			r := l.b.NewReg(ir.RegF)
+			l.b.ConstF(r, f, l.pos(e.Pos()))
 			return r, nil
 		case constant.Bool:
-			r := l.newReg(ir.RegB)
-			l.emit(ir.Instr{Op: ir.ConstB, Dst: r, BVal: constant.BoolVal(tv.Value), Site: ir.NoSite, Pos: l.pos(e.Pos())})
+			r := l.b.NewReg(ir.RegB)
+			l.b.ConstB(r, constant.BoolVal(tv.Value), l.pos(e.Pos()))
 			return r, nil
 		default:
 			return -1, l.errf(e.Pos(), "%s", subsetTypeMsg(tv.Type))
@@ -723,13 +600,13 @@ func (l *goLowerer) lowerUnary(e *ast.UnaryExpr) (ir.Reg, error) {
 		if err != nil {
 			return -1, err
 		}
-		if l.fn.Kinds[x] != ir.RegF {
+		if l.b.Kind(x) != ir.RegF {
 			return -1, l.errf(e.Pos(), "unary minus requires a float64 operand")
 		}
 		// Sign flips are exact: FNeg, no op site — matching FPL and the
 		// paper's LLVM-level site inventory.
-		r := l.newReg(ir.RegF)
-		l.emit(ir.Instr{Op: ir.FNeg, Dst: r, A: x, Site: ir.NoSite, Pos: l.pos(e.Pos())})
+		r := l.b.NewReg(ir.RegF)
+		l.b.FNeg(r, x, l.pos(e.Pos()))
 		return r, nil
 	case token.ADD:
 		return l.lowerExpr(e.X)
@@ -738,11 +615,11 @@ func (l *goLowerer) lowerUnary(e *ast.UnaryExpr) (ir.Reg, error) {
 		if err != nil {
 			return -1, err
 		}
-		if l.fn.Kinds[x] != ir.RegB {
+		if l.b.Kind(x) != ir.RegB {
 			return -1, l.errf(e.Pos(), "! requires a bool operand")
 		}
-		r := l.newReg(ir.RegB)
-		l.emit(ir.Instr{Op: ir.Not, Dst: r, A: x, Site: ir.NoSite, Pos: l.pos(e.Pos())})
+		r := l.b.NewReg(ir.RegB)
+		l.b.Not(r, x, l.pos(e.Pos()))
 		return r, nil
 	case token.AND:
 		return -1, l.errf(e.Pos(), "pointers are outside the analyzable subset")
@@ -773,7 +650,11 @@ var arithTok = map[token.Token]ir.Opcode{
 func (l *goLowerer) lowerBinary(e *ast.BinaryExpr) (ir.Reg, error) {
 	switch e.Op {
 	case token.LAND, token.LOR:
-		return l.lowerShortCircuit(e)
+		// The right operand runs, and is observed, only when the left
+		// one does not decide the result — as in native Go.
+		return l.b.ShortCircuit(e.Op == token.LAND, l.pos(e.Pos()),
+			func() (ir.Reg, error) { return l.lowerCond(e.X) },
+			func() (ir.Reg, error) { return l.lowerCond(e.Y) })
 	}
 	if pred, ok := cmpTok[e.Op]; ok {
 		if !isFloat64(l.info.TypeOf(e.X)) || !isFloat64(l.info.TypeOf(e.Y)) {
@@ -787,10 +668,9 @@ func (l *goLowerer) lowerBinary(e *ast.BinaryExpr) (ir.Reg, error) {
 		if err != nil {
 			return -1, err
 		}
-		text := types.ExprString(e)
-		r := l.newReg(ir.RegB)
-		site := l.newBranchSite(e.Pos(), text, pred)
-		l.emit(ir.Instr{Op: ir.FCmp, Dst: r, A: x, B: y, Pred: pred, Site: site, Pos: l.pos(e.Pos()), Label: text})
+		r := l.b.NewReg(ir.RegB)
+		pos, where := l.site(e.Pos())
+		l.b.FCmp(r, pred, x, y, pos, where, types.ExprString(e))
 		return r, nil
 	}
 	if op, ok := arithTok[e.Op]; ok {
@@ -805,46 +685,15 @@ func (l *goLowerer) lowerBinary(e *ast.BinaryExpr) (ir.Reg, error) {
 		if err != nil {
 			return -1, err
 		}
-		text := types.ExprString(e)
-		r := l.newReg(ir.RegF)
-		site := l.newOpSite(e.Pos(), text)
-		l.emit(ir.Instr{Op: op, Dst: r, A: x, B: y, Site: site, Pos: l.pos(e.Pos()), Label: text})
+		r := l.b.NewReg(ir.RegF)
+		pos, where := l.site(e.Pos())
+		l.b.Arith(op, r, x, y, pos, where, types.ExprString(e))
 		return r, nil
 	}
 	if e.Op == token.REM {
 		return -1, l.errf(e.Pos(), "%% is outside the analyzable subset (use math.Mod)")
 	}
 	return -1, l.errf(e.Pos(), "operator %s is outside the analyzable subset", e.Op)
-}
-
-// lowerShortCircuit lowers && and || with real control flow, so the
-// right operand — and any comparison sites inside it — only executes
-// and is only observed when the left operand does not decide the
-// result. This matches both FPL lowering and native Go evaluation.
-func (l *goLowerer) lowerShortCircuit(e *ast.BinaryExpr) (ir.Reg, error) {
-	pos := l.pos(e.Pos())
-	res := l.newReg(ir.RegB)
-	x, err := l.lowerCond(e.X)
-	if err != nil {
-		return -1, err
-	}
-	l.emit(ir.Instr{Op: ir.Mov, Dst: res, A: x, Site: ir.NoSite, Pos: pos})
-	rhsB := l.newBlock()
-	joinB := l.newBlock()
-	if e.Op == token.LAND {
-		l.emit(ir.Instr{Op: ir.CondJmp, A: res, Target: rhsB, Else: joinB, Site: ir.NoSite, Pos: pos})
-	} else {
-		l.emit(ir.Instr{Op: ir.CondJmp, A: res, Target: joinB, Else: rhsB, Site: ir.NoSite, Pos: pos})
-	}
-	l.cur = rhsB
-	y, err := l.lowerCond(e.Y)
-	if err != nil {
-		return -1, err
-	}
-	l.emit(ir.Instr{Op: ir.Mov, Dst: res, A: y, Site: ir.NoSite, Pos: pos})
-	l.emit(ir.Instr{Op: ir.Jmp, Target: joinB, Site: ir.NoSite, Pos: pos})
-	l.cur = joinB
-	return res, nil
 }
 
 func (l *goLowerer) lowerCall(e *ast.CallExpr) (ir.Reg, error) {
@@ -874,8 +723,8 @@ func (l *goLowerer) lowerCall(e *ast.CallExpr) (ir.Reg, error) {
 		if err != nil {
 			return -1, err
 		}
-		r := l.newReg(ir.RegF)
-		l.emit(ir.Instr{Op: ir.Call, Dst: r, Name: fn.Name(), Args: args, Site: ir.NoSite, Pos: l.pos(e.Pos()), Label: types.ExprString(e)})
+		r := l.b.NewReg(ir.RegF)
+		l.b.Call(r, fn.Name(), args, l.pos(e.Pos()), types.ExprString(e))
 		return r, nil
 
 	case *ast.SelectorExpr:
@@ -886,7 +735,7 @@ func (l *goLowerer) lowerCall(e *ast.CallExpr) (ir.Reg, error) {
 		if _, isPkg := l.info.Uses[pkg].(*types.PkgName); !isPkg {
 			return -1, l.errf(e.Pos(), "method calls are outside the analyzable subset")
 		}
-		spec, ok := mathFuncs[fun.Sel.Name]
+		builtin, ok := mathFuncs[fun.Sel.Name]
 		if !ok {
 			// Unreachable in practice: the synthetic math package only
 			// declares supported names, so the type checker rejects the
@@ -897,13 +746,12 @@ func (l *goLowerer) lowerCall(e *ast.CallExpr) (ir.Reg, error) {
 		if err != nil {
 			return -1, err
 		}
-		if len(args) != spec.Arity {
-			return -1, l.errf(e.Pos(), "math.%s takes %d arguments", fun.Sel.Name, spec.Arity)
+		if arity := builtins.Arity(builtin); len(args) != arity {
+			return -1, l.errf(e.Pos(), "math.%s takes %d arguments", fun.Sel.Name, arity)
 		}
-		text := types.ExprString(e)
-		r := l.newReg(ir.RegF)
-		site := l.newOpSite(e.Pos(), text)
-		l.emit(ir.Instr{Op: ir.CallBuiltin, Dst: r, Name: spec.Builtin, Args: args, Site: site, Pos: l.pos(e.Pos()), Label: text})
+		r := l.b.NewReg(ir.RegF)
+		pos, where := l.site(e.Pos())
+		l.b.CallBuiltin(r, builtin, args, pos, where, types.ExprString(e))
 		return r, nil
 	}
 	return -1, l.errf(e.Pos(), "function values are outside the analyzable subset")
@@ -916,7 +764,7 @@ func (l *goLowerer) lowerArgs(args []ast.Expr) ([]ir.Reg, error) {
 		if err != nil {
 			return nil, err
 		}
-		if l.fn.Kinds[r] != ir.RegF {
+		if l.b.Kind(r) != ir.RegF {
 			return nil, l.errf(a.Pos(), "call arguments must be float64")
 		}
 		regs = append(regs, r)

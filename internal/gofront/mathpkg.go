@@ -5,47 +5,46 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+
+	"repro/internal/builtins"
 )
 
 // mathFuncs maps each supported math.* function to the internal/builtins
-// name it lowers to and its arity. Both execution engines call the very
-// math function the native build calls (internal/builtins stores the
-// function pointers), so lifted math calls are bit-identical to native
-// execution by construction.
-var mathFuncs = map[string]struct {
-	Builtin string
-	Arity   int
-}{
-	"Sin":      {"sin", 1},
-	"Cos":      {"cos", 1},
-	"Tan":      {"tan", 1},
-	"Asin":     {"asin", 1},
-	"Acos":     {"acos", 1},
-	"Atan":     {"atan", 1},
-	"Sinh":     {"sinh", 1},
-	"Cosh":     {"cosh", 1},
-	"Tanh":     {"tanh", 1},
-	"Sqrt":     {"sqrt", 1},
-	"Cbrt":     {"cbrt", 1},
-	"Abs":      {"fabs", 1},
-	"Exp":      {"exp", 1},
-	"Exp2":     {"exp2", 1},
-	"Expm1":    {"expm1", 1},
-	"Log":      {"log", 1},
-	"Log2":     {"log2", 1},
-	"Log10":    {"log10", 1},
-	"Log1p":    {"log1p", 1},
-	"Floor":    {"floor", 1},
-	"Ceil":     {"ceil", 1},
-	"Trunc":    {"trunc", 1},
-	"Round":    {"round", 1},
-	"Pow":      {"pow", 2},
-	"Min":      {"fmin", 2},
-	"Max":      {"fmax", 2},
-	"Mod":      {"fmod", 2},
-	"Atan2":    {"atan2", 2},
-	"Hypot":    {"hypot", 2},
-	"Copysign": {"copysign", 2},
+// name it lowers to; its arity is the builtin's. Both execution engines
+// call the very math function the native build calls (internal/builtins
+// stores the function pointers), so lifted math calls are bit-identical
+// to native execution by construction.
+var mathFuncs = map[string]string{
+	"Sin":      "sin",
+	"Cos":      "cos",
+	"Tan":      "tan",
+	"Asin":     "asin",
+	"Acos":     "acos",
+	"Atan":     "atan",
+	"Sinh":     "sinh",
+	"Cosh":     "cosh",
+	"Tanh":     "tanh",
+	"Sqrt":     "sqrt",
+	"Cbrt":     "cbrt",
+	"Abs":      "fabs",
+	"Exp":      "exp",
+	"Exp2":     "exp2",
+	"Expm1":    "expm1",
+	"Log":      "log",
+	"Log2":     "log2",
+	"Log10":    "log10",
+	"Log1p":    "log1p",
+	"Floor":    "floor",
+	"Ceil":     "ceil",
+	"Trunc":    "trunc",
+	"Round":    "round",
+	"Pow":      "pow",
+	"Min":      "fmin",
+	"Max":      "fmax",
+	"Mod":      "fmod",
+	"Atan2":    "atan2",
+	"Hypot":    "hypot",
+	"Copysign": "copysign",
 }
 
 // mathConsts are the math package constants the frontend understands,
@@ -76,8 +75,8 @@ func mathPackage() *types.Package {
 	scope := pkg.Scope()
 	f64 := types.Typ[types.Float64]
 
-	for name, spec := range mathFuncs {
-		params := make([]*types.Var, spec.Arity)
+	for name, builtin := range mathFuncs {
+		params := make([]*types.Var, builtins.Arity(builtin))
 		for i := range params {
 			params[i] = types.NewParam(token.NoPos, pkg, fmt.Sprintf("x%d", i), f64)
 		}

@@ -64,19 +64,6 @@ func stripHeader(src string) string {
 	return strings.TrimLeft(strings.Join(out, "\n"), "\n")
 }
 
-// Sources returns each corpus file's source text by name.
-func Sources() map[string]string {
-	m := make(map[string]string, len(corpusFiles))
-	for _, name := range corpusFiles {
-		data, err := srcFS.ReadFile(name)
-		if err != nil {
-			panic("lift: embedded corpus file missing: " + name)
-		}
-		m[name] = string(data)
-	}
-	return m
-}
-
 // Fn is a natively compiled corpus function: the oracle side of the
 // differential contract.
 type Fn struct {

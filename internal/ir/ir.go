@@ -1,11 +1,12 @@
 // Package ir defines the three-address intermediate representation that
-// FPL programs are lowered to before interpretation. The IR mirrors the
-// property the paper relies on at the LLVM level (§4.4): every
-// floating-point operation is exactly one instruction, so the
-// instrumentation sites of Algorithm 3 — "inject after each floating-
-// point operation l" — are well defined. Likewise every floating-point
-// comparison is one FCmp instruction, giving the branch sites that the
-// boundary (§4.2) and path (§4.3) weak distances instrument.
+// FPL and Go programs are lowered to, through one Builder, before
+// interpretation. The IR mirrors the property the paper relies on at
+// the LLVM level (§4.4): every floating-point operation is exactly one
+// instruction, so the instrumentation sites of Algorithm 3 — "inject
+// after each floating-point operation l" — are well defined. Likewise
+// every floating-point comparison is one FCmp instruction, giving the
+// branch sites that the boundary (§4.2) and path (§4.3) weak distances
+// instrument.
 //
 // Functions are graphs of basic blocks over a flat virtual register
 // file; the representation is deliberately not SSA — the interpreter in
@@ -122,8 +123,9 @@ type Instr struct {
 	Site int
 
 	// Callee caches the resolved *Func for Call instructions so
-	// execution engines never pay a map lookup per call. Lower fills it
-	// via Module.Link; hand-built modules should call Link themselves.
+	// execution engines never pay a map lookup per call. Builder.Finish
+	// fills it via Module.Link; hand-built modules should call Link
+	// themselves.
 	Callee *Func
 	// Fn1 and Fn2 cache the resolved implementation for CallBuiltin
 	// instructions (exactly one is non-nil, matching the arity).
@@ -193,7 +195,7 @@ func (m *Module) Func(name string) *Func {
 
 // Link resolves the cached execution pointers of every instruction:
 // Call instructions get their Callee, CallBuiltin instructions their
-// Fn1/Fn2 implementation. Lower calls Link automatically; modules built
+// Fn1/Fn2 implementation. Builder.Finish calls Link; modules built
 // by hand must call it before execution. Unknown callees or builtins
 // are reported as errors.
 func (m *Module) Link() error {
@@ -336,7 +338,7 @@ func (m *Module) verifyFunc(f *Func) error {
 					}
 				}
 			case CallBuiltin:
-				if _, ok := lang.Builtins[in.Name]; !ok {
+				if builtins.Arity(in.Name) == 0 {
 					err = fmt.Errorf("unknown builtin %s", in.Name)
 					break
 				}

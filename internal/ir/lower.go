@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fp"
 	"repro/internal/lang"
-	"repro/internal/rt"
 )
 
 // Lower compiles a checked FPL file into an IR module, assigning
@@ -14,27 +13,13 @@ import (
 // and branch condition. Lower assumes lang.Check succeeded; violations
 // surface as errors.
 func Lower(file *lang.File) (*Module, error) {
-	m := &Module{Funcs: map[string]*Func{}}
+	l := &lowerer{b: NewBuilder(), file: file}
 	for _, fn := range file.Funcs {
-		lf := &lowerer{mod: m, file: file}
-		f, err := lf.lowerFunc(fn)
-		if err != nil {
+		if err := l.lowerFunc(fn); err != nil {
 			return nil, err
 		}
-		m.Funcs[fn.Name] = f
-		m.Order = append(m.Order, fn.Name)
 	}
-	if err := m.Verify(); err != nil {
-		return nil, fmt.Errorf("lowering produced invalid IR: %w", err)
-	}
-	// Resolve call targets and builtin implementations once, at compile
-	// time, so neither execution engine pays name resolution per call —
-	// and so an unknown builtin fails compilation here instead of
-	// panicking mid-analysis.
-	if err := m.Link(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return l.b.Finish()
 }
 
 // Compile parses, checks, and lowers FPL source in one step.
@@ -86,95 +71,25 @@ func (s *scope) lookup(name string) (Reg, bool) {
 	return -1, false
 }
 
+// lowerer holds FPL's own lowering state: lexical scopes binding names
+// to registers. Everything about IR construction lives in the Builder.
 type lowerer struct {
-	mod  *Module
+	b    *Builder
 	file *lang.File
-	fn   *Func
-	cur  int // current block index
 	sc   *scope
 }
 
-func (l *lowerer) newReg(k RegKind) Reg {
-	l.fn.Kinds = append(l.fn.Kinds, k)
-	return Reg(len(l.fn.Kinds) - 1)
-}
-
-func (l *lowerer) newBlock() int {
-	l.fn.Blocks = append(l.fn.Blocks, Block{})
-	return len(l.fn.Blocks) - 1
-}
-
-func (l *lowerer) emit(in Instr) {
-	b := &l.fn.Blocks[l.cur]
-	b.Instrs = append(b.Instrs, in)
-}
-
-// terminated reports whether the current block already ends in a
-// terminator.
-func (l *lowerer) terminated() bool {
-	b := l.fn.Blocks[l.cur]
-	if len(b.Instrs) == 0 {
-		return false
-	}
-	switch b.Instrs[len(b.Instrs)-1].Op {
-	case Jmp, CondJmp, Ret:
-		return true
-	}
-	return false
-}
-
-func (l *lowerer) newOpSite(pos lang.Pos, label string) int {
-	id := len(l.mod.OpSites)
-	l.mod.OpSites = append(l.mod.OpSites, rt.OpInfo{
-		ID:    id,
-		Label: fmt.Sprintf("%s: %s", pos, label),
-	})
-	return id
-}
-
-func (l *lowerer) newBranchSite(pos lang.Pos, label string, op fp.CmpOp) int {
-	id := len(l.mod.BranchSites)
-	l.mod.BranchSites = append(l.mod.BranchSites, rt.BranchInfo{
-		ID:    id,
-		Label: fmt.Sprintf("%s: %s", pos, label),
-		Op:    op,
-	})
-	return id
-}
-
-func (l *lowerer) lowerFunc(fn *lang.FuncDecl) (*Func, error) {
-	l.fn = &Func{
-		Name:    fn.Name,
-		NParams: len(fn.Params),
-		Ret:     retKindOf(fn.RetType),
-	}
+func (l *lowerer) lowerFunc(fn *lang.FuncDecl) error {
+	l.b.BeginFunc(fn.Name, len(fn.Params), retKindOf(fn.RetType))
 	l.sc = &scope{vars: map[string]Reg{}}
 	for _, p := range fn.Params {
-		r := l.newReg(kindOfType(p.Type))
-		l.sc.vars[p.Name] = r
+		l.sc.vars[p.Name] = l.b.NewReg(kindOfType(p.Type))
 	}
-	l.newBlock()
-	l.cur = 0
 	if err := l.lowerBlock(fn.Body); err != nil {
-		return nil, err
+		return err
 	}
-	if !l.terminated() {
-		switch l.fn.Ret {
-		case RetF:
-			// The checker guarantees all paths return; a fallthrough
-			// here is unreachable, but the IR still needs a terminator.
-			z := l.newReg(RegF)
-			l.emit(Instr{Op: ConstF, Dst: z, Val: 0, Pos: fn.Pos})
-			l.emit(Instr{Op: Ret, A: z, Pos: fn.Pos})
-		case RetB:
-			z := l.newReg(RegB)
-			l.emit(Instr{Op: ConstB, Dst: z, BVal: false, Pos: fn.Pos})
-			l.emit(Instr{Op: Ret, A: z, Pos: fn.Pos})
-		default:
-			l.emit(Instr{Op: Ret, A: -1, Pos: fn.Pos})
-		}
-	}
-	return l.fn, nil
+	l.b.EndFunc(fn.Pos)
+	return nil
 }
 
 func retKindOf(t lang.Type) RetKind {
@@ -198,12 +113,7 @@ func (l *lowerer) lowerBlock(b *lang.BlockStmt) error {
 	l.sc = &scope{parent: l.sc, vars: map[string]Reg{}}
 	defer func() { l.sc = l.sc.parent }()
 	for _, s := range b.Stmts {
-		if l.terminated() {
-			// Unreachable code after return; lower into a fresh dead
-			// block to keep the IR well formed.
-			dead := l.newBlock()
-			l.cur = dead
-		}
+		l.b.Open()
 		if err := l.lowerStmt(s); err != nil {
 			return err
 		}
@@ -217,17 +127,17 @@ func (l *lowerer) lowerStmt(s lang.Stmt) error {
 		return l.lowerBlock(s)
 
 	case *lang.VarStmt:
-		r := l.newReg(kindOfType(s.Type))
+		r := l.b.NewReg(kindOfType(s.Type))
 		if s.Init != nil {
 			v, err := l.lowerExpr(s.Init)
 			if err != nil {
 				return err
 			}
-			l.emit(Instr{Op: Mov, Dst: r, A: v, Pos: s.Pos})
+			l.b.Mov(r, v, s.Pos)
 		} else if s.Type == lang.Double {
-			l.emit(Instr{Op: ConstF, Dst: r, Val: 0, Pos: s.Pos})
+			l.b.ConstF(r, 0, s.Pos)
 		} else {
-			l.emit(Instr{Op: ConstB, Dst: r, BVal: false, Pos: s.Pos})
+			l.b.ConstB(r, false, s.Pos)
 		}
 		l.sc.vars[s.Name] = r
 		return nil
@@ -241,7 +151,7 @@ func (l *lowerer) lowerStmt(s lang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		l.emit(Instr{Op: Mov, Dst: r, A: v, Pos: s.Pos})
+		l.b.Mov(r, v, s.Pos)
 		return nil
 
 	case *lang.IfStmt:
@@ -249,63 +159,28 @@ func (l *lowerer) lowerStmt(s lang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		thenB := l.newBlock()
-		joinB := l.newBlock()
-		elseB := joinB
+		var els func() error
 		if s.Else != nil {
-			elseB = l.newBlock()
+			els = func() error { return l.lowerStmt(s.Else) }
 		}
-		l.emit(Instr{Op: CondJmp, A: cond, Target: thenB, Else: elseB, Pos: s.Pos})
-		l.cur = thenB
-		if err := l.lowerBlock(s.Then); err != nil {
-			return err
-		}
-		if !l.terminated() {
-			l.emit(Instr{Op: Jmp, Target: joinB, Pos: s.Pos})
-		}
-		if s.Else != nil {
-			l.cur = elseB
-			if err := l.lowerStmt(s.Else); err != nil {
-				return err
-			}
-			if !l.terminated() {
-				l.emit(Instr{Op: Jmp, Target: joinB, Pos: s.Pos})
-			}
-		}
-		l.cur = joinB
-		return nil
+		return l.b.If(cond, s.Pos, func() error { return l.lowerBlock(s.Then) }, els)
 
 	case *lang.WhileStmt:
-		condB := l.newBlock()
-		bodyB := l.newBlock()
-		exitB := l.newBlock()
-		l.emit(Instr{Op: Jmp, Target: condB, Pos: s.Pos})
-		l.cur = condB
-		cond, err := l.lowerExpr(s.Cond)
-		if err != nil {
-			return err
-		}
-		l.emit(Instr{Op: CondJmp, A: cond, Target: bodyB, Else: exitB, Pos: s.Pos})
-		l.cur = bodyB
-		if err := l.lowerBlock(s.Body); err != nil {
-			return err
-		}
-		if !l.terminated() {
-			l.emit(Instr{Op: Jmp, Target: condB, Pos: s.Pos})
-		}
-		l.cur = exitB
-		return nil
+		return l.b.Loop(s.Pos,
+			func() (Reg, error) { return l.lowerExpr(s.Cond) },
+			func() error { return l.lowerBlock(s.Body) },
+			nil)
 
 	case *lang.ReturnStmt:
 		if s.Expr == nil {
-			l.emit(Instr{Op: Ret, A: -1, Pos: s.Pos})
+			l.b.Ret(-1, s.Pos)
 			return nil
 		}
 		v, err := l.lowerExpr(s.Expr)
 		if err != nil {
 			return err
 		}
-		l.emit(Instr{Op: Ret, A: v, Pos: s.Pos})
+		l.b.Ret(v, s.Pos)
 		return nil
 
 	case *lang.AssertStmt:
@@ -313,7 +188,7 @@ func (l *lowerer) lowerStmt(s lang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		l.emit(Instr{Op: Assert, A: v, Pos: s.Pos, Label: s.Expr.Text()})
+		l.b.Assert(v, s.Pos, s.Expr.Text())
 		return nil
 
 	case *lang.ExprStmt:
@@ -332,7 +207,7 @@ func (l *lowerer) lowerExprOrVoid(e lang.Expr) (Reg, error) {
 			if err != nil {
 				return -1, err
 			}
-			l.emit(Instr{Op: Call, Dst: -1, Name: call.Name, Args: args, Pos: call.Pos})
+			l.b.Call(-1, call.Name, args, call.Pos, "")
 			return -1, nil
 		}
 	}
@@ -354,13 +229,13 @@ func (l *lowerer) lowerArgs(args []lang.Expr) ([]Reg, error) {
 func (l *lowerer) lowerExpr(e lang.Expr) (Reg, error) {
 	switch e := e.(type) {
 	case *lang.NumberLit:
-		r := l.newReg(RegF)
-		l.emit(Instr{Op: ConstF, Dst: r, Val: e.Val, Pos: e.Pos})
+		r := l.b.NewReg(RegF)
+		l.b.ConstF(r, e.Val, e.Pos)
 		return r, nil
 
 	case *lang.BoolLit:
-		r := l.newReg(RegB)
-		l.emit(Instr{Op: ConstB, Dst: r, BVal: e.Val, Pos: e.Pos})
+		r := l.b.NewReg(RegB)
+		l.b.ConstB(r, e.Val, e.Pos)
 		return r, nil
 
 	case *lang.Ident:
@@ -376,59 +251,40 @@ func (l *lowerer) lowerExpr(e lang.Expr) (Reg, error) {
 			return -1, err
 		}
 		if e.Op == lang.MINUS {
-			r := l.newReg(RegF)
-			l.emit(Instr{Op: FNeg, Dst: r, A: x, Pos: e.Pos})
+			r := l.b.NewReg(RegF)
+			l.b.FNeg(r, x, e.Pos)
 			return r, nil
 		}
-		r := l.newReg(RegB)
-		l.emit(Instr{Op: Not, Dst: r, A: x, Pos: e.Pos})
+		r := l.b.NewReg(RegB)
+		l.b.Not(r, x, e.Pos)
 		return r, nil
 
 	case *lang.BinaryExpr:
-		switch e.Op {
-		case lang.ANDAND, lang.OROR:
-			return l.lowerShortCircuit(e)
-		case lang.LT, lang.LE, lang.GT, lang.GE, lang.EQ, lang.NE:
-			x, err := l.lowerExpr(e.X)
-			if err != nil {
-				return -1, err
-			}
-			y, err := l.lowerExpr(e.Y)
-			if err != nil {
-				return -1, err
-			}
-			pred := cmpOpOf(e.Op)
-			r := l.newReg(RegB)
-			site := l.newBranchSite(e.Pos, e.Text(), pred)
-			l.emit(Instr{Op: FCmp, Dst: r, A: x, B: y, Pred: pred, Site: site, Pos: e.Pos, Label: e.Text()})
-			return r, nil
-		default:
-			x, err := l.lowerExpr(e.X)
-			if err != nil {
-				return -1, err
-			}
-			y, err := l.lowerExpr(e.Y)
-			if err != nil {
-				return -1, err
-			}
-			var op Opcode
-			switch e.Op {
-			case lang.PLUS:
-				op = FAdd
-			case lang.MINUS:
-				op = FSub
-			case lang.STAR:
-				op = FMul
-			case lang.SLASH:
-				op = FDiv
-			default:
-				return -1, errfAt(e.Pos, "bad binary operator %s", e.Op)
-			}
-			r := l.newReg(RegF)
-			site := l.newOpSite(e.Pos, e.Text())
-			l.emit(Instr{Op: op, Dst: r, A: x, B: y, Site: site, Pos: e.Pos, Label: e.Text()})
+		if e.Op == lang.ANDAND || e.Op == lang.OROR {
+			return l.b.ShortCircuit(e.Op == lang.ANDAND, e.Pos,
+				func() (Reg, error) { return l.lowerExpr(e.X) },
+				func() (Reg, error) { return l.lowerExpr(e.Y) })
+		}
+		x, err := l.lowerExpr(e.X)
+		if err != nil {
+			return -1, err
+		}
+		y, err := l.lowerExpr(e.Y)
+		if err != nil {
+			return -1, err
+		}
+		if pred, ok := cmpOps[e.Op]; ok {
+			r := l.b.NewReg(RegB)
+			l.b.FCmp(r, pred, x, y, e.Pos, e.Pos.String(), e.Text())
 			return r, nil
 		}
+		op, ok := arithOps[e.Op]
+		if !ok {
+			return -1, errfAt(e.Pos, "bad binary operator %s", e.Op)
+		}
+		r := l.b.NewReg(RegF)
+		l.b.Arith(op, r, x, y, e.Pos, e.Pos.String(), e.Text())
+		return r, nil
 
 	case *lang.CallExpr:
 		args, err := l.lowerArgs(e.Args)
@@ -436,60 +292,25 @@ func (l *lowerer) lowerExpr(e lang.Expr) (Reg, error) {
 			return -1, err
 		}
 		if e.Builtin {
-			r := l.newReg(RegF)
-			site := l.newOpSite(e.Pos, e.Text())
-			l.emit(Instr{Op: CallBuiltin, Dst: r, Name: e.Name, Args: args, Site: site, Pos: e.Pos, Label: e.Text()})
+			r := l.b.NewReg(RegF)
+			l.b.CallBuiltin(r, e.Name, args, e.Pos, e.Pos.String(), e.Text())
 			return r, nil
 		}
-		r := l.newReg(kindOfType(e.Type()))
-		l.emit(Instr{Op: Call, Dst: r, Name: e.Name, Args: args, Pos: e.Pos})
+		r := l.b.NewReg(kindOfType(e.Type()))
+		l.b.Call(r, e.Name, args, e.Pos, "")
 		return r, nil
 	}
 	return -1, errfAt(e.StartPos(), "unhandled expression %T", e)
 }
 
-// lowerShortCircuit lowers && and || with real control flow, so the
-// right operand (and any comparisons inside it) only executes — and is
-// only observed — when the left operand does not decide the result.
-func (l *lowerer) lowerShortCircuit(e *lang.BinaryExpr) (Reg, error) {
-	res := l.newReg(RegB)
-	x, err := l.lowerExpr(e.X)
-	if err != nil {
-		return -1, err
+// cmpOps and arithOps map FPL's comparison and arithmetic operators to
+// IR predicates and opcodes.
+var (
+	cmpOps = map[lang.Kind]fp.CmpOp{
+		lang.LT: fp.LT, lang.LE: fp.LE, lang.GT: fp.GT,
+		lang.GE: fp.GE, lang.EQ: fp.EQ, lang.NE: fp.NE,
 	}
-	l.emit(Instr{Op: Mov, Dst: res, A: x, Pos: e.Pos})
-	rhsB := l.newBlock()
-	joinB := l.newBlock()
-	if e.Op == lang.ANDAND {
-		l.emit(Instr{Op: CondJmp, A: res, Target: rhsB, Else: joinB, Pos: e.Pos})
-	} else {
-		l.emit(Instr{Op: CondJmp, A: res, Target: joinB, Else: rhsB, Pos: e.Pos})
+	arithOps = map[lang.Kind]Opcode{
+		lang.PLUS: FAdd, lang.MINUS: FSub, lang.STAR: FMul, lang.SLASH: FDiv,
 	}
-	l.cur = rhsB
-	y, err := l.lowerExpr(e.Y)
-	if err != nil {
-		return -1, err
-	}
-	l.emit(Instr{Op: Mov, Dst: res, A: y, Pos: e.Pos})
-	l.emit(Instr{Op: Jmp, Target: joinB, Pos: e.Pos})
-	l.cur = joinB
-	return res, nil
-}
-
-func cmpOpOf(k lang.Kind) fp.CmpOp {
-	switch k {
-	case lang.LT:
-		return fp.LT
-	case lang.LE:
-		return fp.LE
-	case lang.GT:
-		return fp.GT
-	case lang.GE:
-		return fp.GE
-	case lang.EQ:
-		return fp.EQ
-	case lang.NE:
-		return fp.NE
-	}
-	panic("not a comparison")
-}
+)

@@ -2,11 +2,6 @@ package lang
 
 import "repro/internal/builtins"
 
-// Builtins lists the math builtins callable from FPL, with their arity.
-// All builtins take and return double. The implementations (and the
-// authoritative registry) live in repro/internal/builtins.
-var Builtins = builtins.Arities()
-
 // Check type-checks the file in place, resolving identifier and call
 // types. It returns the first error found.
 func Check(f *File) error {
@@ -15,7 +10,7 @@ func Check(f *File) error {
 		if _, dup := c.funcs[fn.Name]; dup {
 			return errf(fn.Pos, "function %s redeclared", fn.Name)
 		}
-		if _, isB := Builtins[fn.Name]; isB {
+		if builtins.Arity(fn.Name) > 0 {
 			return errf(fn.Pos, "function %s shadows a builtin", fn.Name)
 		}
 		c.funcs[fn.Name] = fn
@@ -262,7 +257,7 @@ func (c *checker) checkExpr(e Expr) (Type, error) {
 		}
 		return e.typ, nil
 	case *CallExpr:
-		if arity, ok := Builtins[e.Name]; ok {
+		if arity := builtins.Arity(e.Name); arity > 0 {
 			e.Builtin = true
 			if len(e.Args) != arity {
 				return Invalid, errf(e.Pos, "builtin %s takes %d argument(s), found %d", e.Name, arity, len(e.Args))

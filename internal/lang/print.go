@@ -23,14 +23,6 @@ func Format(f *File) string {
 	return p.sb.String()
 }
 
-// FormatExpr renders one expression in the same canonical form Format
-// uses for program bodies.
-func FormatExpr(e Expr) string {
-	var p printer
-	p.expr(e)
-	return p.sb.String()
-}
-
 type printer struct {
 	sb     strings.Builder
 	indent int

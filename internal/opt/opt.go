@@ -19,7 +19,6 @@ package opt
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -155,9 +154,6 @@ type LocalMinimizer interface {
 	// MinimizeFrom performs a local search started at x0.
 	MinimizeFrom(obj Objective, x0 []float64, cfg Config) Result
 }
-
-// ErrDimension is returned by helpers when dim < 1.
-var ErrDimension = errors.New("opt: dimension must be >= 1")
 
 // evaluator wraps an objective with budget accounting, best-so-far
 // tracking, and the stop-at-zero contract. All backends
