@@ -272,7 +272,9 @@ func BenchmarkAblation_Backends(b *testing.B) {
 
 // BenchmarkWeakDistanceEval measures the cost of one weak-distance
 // evaluation on the native ports (the unit the MO budgets are
-// denominated in).
+// denominated in). bessel/overflow-stop overflows at its second of 23
+// operations: the port runs on to its end past the stop, which the
+// latched monitor ignores.
 func BenchmarkWeakDistanceEval(b *testing.B) {
 	cases := []struct {
 		name string
@@ -282,6 +284,7 @@ func BenchmarkWeakDistanceEval(b *testing.B) {
 		{"fig2/boundary", progs.Fig2().WeakDistance(&instrument.Boundary{}), []float64{0.5}},
 		{"sin/boundary", libm.SinProgram().WeakDistance(&instrument.Boundary{}), []float64{0.5}},
 		{"bessel/overflow", gsl.BesselProgram().WeakDistance(instrument.NewOverflow()), []float64{1.5, 2.5}},
+		{"bessel/overflow-stop", gsl.BesselProgram().WeakDistance(instrument.NewOverflow()), []float64{1e200, 2.5}},
 		{"airy/overflow", gsl.AiryAiProgram().WeakDistance(instrument.NewOverflow()), []float64{-1.5}},
 	}
 	for _, c := range cases {

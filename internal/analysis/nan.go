@@ -108,22 +108,24 @@ func classifyValue(v float64) string {
 // keeps the latest value and stops at the first non-finite one — the
 // event the hunt's weak distance hit zero on.
 type opProbe struct {
-	site int
-	val  float64
+	site    int
+	val     float64
+	stopped bool
 }
 
 func (p *opProbe) Reset() {
-	p.val = 0
+	p.val, p.stopped = 0, false
 }
 
 func (p *opProbe) Branch(int, fp.CmpOp, float64, float64) {}
 
 func (p *opProbe) FPOp(site int, v float64) bool {
-	if site != p.site {
-		return false
+	if p.stopped || site != p.site {
+		return p.stopped
 	}
 	p.val = v
-	return math.IsNaN(v) || math.IsInf(v, 0)
+	p.stopped = math.IsNaN(v) || math.IsInf(v, 0)
+	return p.stopped
 }
 
 func (p *opProbe) Value() float64 { return 0 }

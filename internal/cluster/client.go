@@ -34,17 +34,28 @@ func (e *ErrWorkerBusy) Error() string {
 type Client struct {
 	// Base is the worker's base URL ("http://host:port").
 	Base string
-	// HC is the HTTP client (nil = a default with no global timeout;
-	// callers bound requests with contexts instead, because a result
-	// stream stays open as long as its sub-batch runs).
-	HC *http.Client
+	// hc is the coordinator's HTTP client, shared by every worker's
+	// Client. It has no global timeout: callers bound requests with
+	// contexts instead, because a result stream stays open as long as
+	// its sub-batch runs.
+	hc *http.Client
 }
 
-func (c *Client) hc() *http.Client {
-	if c.HC != nil {
-		return c.HC
-	}
-	return http.DefaultClient
+// idleConnsPerWorker is how many idle connections the coordinator keeps
+// to one worker. The coordinator holds one result stream open per
+// sub-batch in flight on a worker, so a cap below that number
+// (net/http's default is 2) closes the connections of streams that end
+// together instead of reusing them for the next submit and stream.
+const idleConnsPerWorker = 64
+
+// newHTTPClient returns the coordinator's HTTP client: net/http's
+// default transport settings, with idleConnsPerWorker idle connections
+// kept per worker.
+func newHTTPClient() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no fleet-wide cap; the per-worker one bounds it
+	t.MaxIdleConnsPerHost = idleConnsPerWorker
+	return &http.Client{Transport: t}
 }
 
 // problemDoc is the slice of application/problem+json the client
@@ -93,7 +104,7 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.hc().Do(req)
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
@@ -188,7 +199,7 @@ func (c *Client) Follow(ctx context.Context, jobID string, fn func(data json.Raw
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.hc().Do(req)
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return "", err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
@@ -15,21 +16,21 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Coordinator defaults.
+// Coordinator defaults and fixed bounds.
 const (
 	// DefaultProbeEvery is the health-probe interval for live workers.
 	DefaultProbeEvery = 2 * time.Second
 	// DefaultDeadAfter is how many consecutive probe failures take a
 	// worker out of the ring.
 	DefaultDeadAfter = 3
-	// DefaultHTTPTimeout bounds each control-plane request (probe,
+	// httpTimeout bounds each control-plane request (probe,
 	// registration, submit, cancel). A result stream has no such bound:
 	// it stays open while its sub-batch runs, and ends when the probe
 	// loop marks its worker dead.
-	DefaultHTTPTimeout = 15 * time.Second
-	// DefaultNoWorkerGrace is how long routing waits out a fully dead
-	// fleet before failing the affected jobs.
-	DefaultNoWorkerGrace = 30 * time.Second
+	httpTimeout = 15 * time.Second
+	// noWorkerGrace is how long routing waits out a fully dead fleet
+	// before failing the affected jobs.
+	noWorkerGrace = 30 * time.Second
 	// dispatchAttempts bounds how many times one job is re-routed after
 	// worker failures before it fails with an error result. Each
 	// attempt already carries its own submit/stream retry budget, so this
@@ -42,9 +43,6 @@ const (
 type Config struct {
 	// Workers lists the fleet ("host:port" or full URLs).
 	Workers []string
-	// Vnodes and LoadFactor tune the ring (0 = defaults).
-	Vnodes     int
-	LoadFactor float64
 	// ProbeEvery is the health-probe interval (0 = DefaultProbeEvery).
 	// Dead workers are re-probed under deterministic capped-exponential
 	// backoff on top of this interval.
@@ -52,11 +50,6 @@ type Config struct {
 	// DeadAfter is the consecutive-probe-failure threshold that marks a
 	// worker dead (0 = DefaultDeadAfter).
 	DeadAfter int
-	// HTTPTimeout bounds individual worker requests (0 = DefaultHTTPTimeout).
-	HTTPTimeout time.Duration
-	// NoWorkerGrace is how long jobs wait for a live worker before
-	// failing (0 = DefaultNoWorkerGrace).
-	NoWorkerGrace time.Duration
 	// Seed derives probe/retry backoff jitter (deterministic per seed).
 	Seed int64
 	// Logf, when non-nil, receives operational log lines (worker
@@ -132,6 +125,7 @@ func (w *workerState) programCount() int {
 type Coordinator struct {
 	cfg  Config
 	ring *Ring
+	hc   *http.Client // shared by every worker's Client
 
 	workers map[string]*workerState
 	order   []string // stable listing order
@@ -156,7 +150,8 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		ring:    NewRing(cfg.Vnodes, cfg.LoadFactor),
+		ring:    NewRing(),
+		hc:      newHTTPClient(),
 		workers: map[string]*workerState{},
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -171,7 +166,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		w := &workerState{
 			name:       name,
-			client:     &Client{Base: base},
+			client:     &Client{Base: base, hc: c.hc},
 			registered: map[string]bool{},
 		}
 		w.alive.Store(true)
@@ -214,20 +209,6 @@ func (c *Coordinator) deadAfter() int {
 	return DefaultDeadAfter
 }
 
-func (c *Coordinator) httpTimeout() time.Duration {
-	if c.cfg.HTTPTimeout > 0 {
-		return c.cfg.HTTPTimeout
-	}
-	return DefaultHTTPTimeout
-}
-
-func (c *Coordinator) noWorkerGrace() time.Duration {
-	if c.cfg.NoWorkerGrace > 0 {
-		return c.cfg.NoWorkerGrace
-	}
-	return DefaultNoWorkerGrace
-}
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
@@ -240,8 +221,9 @@ func (c *Coordinator) Start() {
 	go c.probeLoop()
 }
 
-// Close stops the probe loop and waits for it to exit. In-flight Run
-// calls are unaffected — the engine's shutdown cancels their contexts.
+// Close stops the probe loop, waits for it to exit, and closes the idle
+// worker connections. In-flight Run calls are unaffected — the engine's
+// shutdown cancels their contexts.
 func (c *Coordinator) Close() {
 	select {
 	case <-c.stop:
@@ -249,6 +231,7 @@ func (c *Coordinator) Close() {
 		close(c.stop)
 	}
 	<-c.done
+	c.hc.CloseIdleConnections()
 }
 
 func (c *Coordinator) probeLoop() {
@@ -309,7 +292,7 @@ func (c *Coordinator) probe(w *workerState) {
 	gen := w.gen
 	w.stateMu.Unlock()
 	w.lastProbe.Store(time.Now().UnixNano())
-	ctx, cancel := context.WithTimeout(context.Background(), c.httpTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), httpTimeout)
 	defer cancel()
 	if err := w.client.Healthz(ctx); err != nil {
 		n := w.consecFails.Add(1)
@@ -465,7 +448,7 @@ func (c *Coordinator) dispatch(ctx context.Context, wg *sync.WaitGroup, jobs []p
 			deliver(i, synthCanceled(jobs[i], base+i, ctx))
 		} else {
 			deliver(i, synthResult(jobs[i], base+i, false,
-				fmt.Sprintf("cluster: no live worker within %v", c.noWorkerGrace())))
+				fmt.Sprintf("cluster: no live worker within %v", noWorkerGrace)))
 		}
 	}
 	for w, group := range groups {
@@ -490,12 +473,12 @@ func (c *Coordinator) dispatch(ctx context.Context, wg *sync.WaitGroup, jobs []p
 // rule, bumping the chosen worker's in-flight load as it goes (so the
 // cap sees this batch's own placements, not just earlier batches). If
 // the whole fleet is dead it waits — under backoff, up to
-// NoWorkerGrace — for the probe loop to restore someone; indices that
+// noWorkerGrace — for the probe loop to restore someone; indices that
 // never find a worker are returned as unplaced.
 func (c *Coordinator) assign(ctx context.Context, jobs []pipeline.Job, idxs []int) (map[*workerState][]int, []int) {
 	load := func(name string) int { return int(c.workers[name].inflight.Load()) }
 	b := pipeline.Backoff{Base: 10 * time.Millisecond, Max: c.probeEvery(), Seed: c.cfg.Seed}
-	deadline := time.Now().Add(c.noWorkerGrace())
+	deadline := time.Now().Add(noWorkerGrace)
 	for attempt := 0; ; attempt++ {
 		groups := map[*workerState][]int{}
 		ok := true
@@ -566,7 +549,7 @@ func (c *Coordinator) runGroup(ctx context.Context, w *workerState, jobs []pipel
 		if w.isRegistered(id) {
 			continue
 		}
-		rctx, cancel := context.WithTimeout(ctx, c.httpTimeout())
+		rctx, cancel := context.WithTimeout(ctx, httpTimeout)
 		_, err := w.client.RegisterProgram(rctx, src, jobs[i].Lang, "")
 		cancel()
 		if err != nil {
@@ -607,7 +590,7 @@ func (c *Coordinator) runGroup(ctx context.Context, w *workerState, jobs []pipel
 		if !w.alive.Load() {
 			return idxs, fmt.Errorf("worker %s died before accepting the sub-batch", w.name)
 		}
-		sctx, cancel := context.WithTimeout(ctx, c.httpTimeout())
+		sctx, cancel := context.WithTimeout(ctx, httpTimeout)
 		id, err := w.client.SubmitJobs(sctx, v1jobs)
 		cancel()
 		if err == nil {

@@ -29,17 +29,17 @@ import (
 	"sync"
 )
 
-// Ring defaults.
+// Ring shape.
 const (
-	// DefaultVnodes is the number of virtual nodes per worker: enough
+	// vnodesPerMember is the number of virtual nodes per worker: enough
 	// that each worker's arc of the key space is fragmented into many
 	// interleaved slices, so removing one worker spreads its keys over
 	// all survivors instead of dumping them on a single neighbor.
-	DefaultVnodes = 64
-	// DefaultLoadFactor caps a worker's in-flight share at this
-	// multiple of the fleet average (consistent hashing with bounded
-	// loads); keys landing on a worker at its cap spill clockwise.
-	DefaultLoadFactor = 1.25
+	vnodesPerMember = 64
+	// loadFactor caps a worker's in-flight share at this multiple of
+	// the fleet average (consistent hashing with bounded loads); keys
+	// landing on a worker at its cap spill clockwise.
+	loadFactor = 1.25
 )
 
 // vnode is one virtual point on the ring.
@@ -56,20 +56,11 @@ type Ring struct {
 	mu     sync.RWMutex
 	vnodes []vnode // sorted by hash
 	alive  map[string]bool
-	vcount int
-	factor float64
 }
 
-// NewRing returns an empty ring. vnodesPerMember <= 0 selects
-// DefaultVnodes; loadFactor <= 1 selects DefaultLoadFactor.
-func NewRing(vnodesPerMember int, loadFactor float64) *Ring {
-	if vnodesPerMember <= 0 {
-		vnodesPerMember = DefaultVnodes
-	}
-	if loadFactor <= 1 {
-		loadFactor = DefaultLoadFactor
-	}
-	return &Ring{alive: map[string]bool{}, vcount: vnodesPerMember, factor: loadFactor}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{alive: map[string]bool{}}
 }
 
 // hash64 places keys and virtual nodes on the ring: FNV-1a, then the
@@ -98,7 +89,7 @@ func (r *Ring) Add(member string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, known := r.alive[member]; !known {
-		for i := 0; i < r.vcount; i++ {
+		for i := 0; i < vnodesPerMember; i++ {
 			r.vnodes = append(r.vnodes, vnode{
 				hash:   hash64(fmt.Sprintf("%s#%d", member, i)),
 				member: member,
@@ -148,7 +139,7 @@ func (r *Ring) Alive() []string {
 
 // Owner returns the live member owning key. With load non-nil it
 // applies the bounded-load rule: walking clockwise from the key's ring
-// position, a member carrying at least ceil(factor · (total+1) /
+// position, a member carrying at least ceil(loadFactor · (total+1) /
 // alive) of the fleet's load is skipped; if every live member is at
 // its cap the key's natural owner takes it anyway (the cap balances,
 // it must not deadlock). load reports one member's current assignment
@@ -176,7 +167,7 @@ func (r *Ring) Owner(key string, load func(member string) int) (string, bool) {
 				total += load(m)
 			}
 		}
-		cap = int(math.Ceil(r.factor * float64(total+1) / float64(alive)))
+		cap = int(math.Ceil(loadFactor * float64(total+1) / float64(alive)))
 	}
 	h := hash64(key)
 	start := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })

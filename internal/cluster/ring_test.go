@@ -8,7 +8,7 @@ import (
 )
 
 func TestRingStableOwnership(t *testing.T) {
-	r := NewRing(0, 0)
+	r := NewRing()
 	members := []string{"a:1", "b:1", "c:1"}
 	for _, m := range members {
 		r.Add(m)
@@ -45,7 +45,7 @@ func TestRingSpreadsSimilarNames(t *testing.T) {
 		keys[i] = pipeline.SourceID(fmt.Sprintf("program %d", i))
 	}
 	shares := func(members ...string) map[string]float64 {
-		r := NewRing(0, 0)
+		r := NewRing()
 		for _, m := range members {
 			r.Add(m)
 		}
@@ -71,7 +71,7 @@ func TestRingSpreadsSimilarNames(t *testing.T) {
 }
 
 func TestRingDeadDetourAndReturn(t *testing.T) {
-	r := NewRing(0, 0)
+	r := NewRing()
 	for _, m := range []string{"a:1", "b:1", "c:1"} {
 		r.Add(m)
 	}
@@ -104,7 +104,7 @@ func TestRingDeadDetourAndReturn(t *testing.T) {
 // load bound they would serialize on the key's home node; with it the
 // spill keeps every member within the cap.
 func TestRingBoundedLoad(t *testing.T) {
-	r := NewRing(0, 0) // factor 1.25
+	r := NewRing() // loadFactor 1.25
 	members := []string{"a:1", "b:1"}
 	for _, m := range members {
 		r.Add(m)

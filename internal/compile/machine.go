@@ -78,9 +78,8 @@ func (cm *Module) NewMachine() *Machine {
 // Run executes fn on x under ctx, returning its result (0 for void
 // functions, 1/0 for bool results, NaN when the step budget is
 // exceeded). Monitor early stops unwind through ordinary returns (the
-// result is then meaningless, exactly as with the tree-walker's
-// abandoned panic value — rt.Program.Execute reads the monitor, not the
-// return value).
+// result is then meaningless, as the tree-walker's is —
+// rt.Program.Execute reads the monitor, not the return value).
 func (vm *Machine) Run(ctx *rt.Ctx, fn *Func, x []float64) float64 {
 	if len(x) != fn.NParams {
 		panic(fmt.Sprintf("compile: %s expects %d inputs, got %d", fn.Name, fn.NParams, len(x)))

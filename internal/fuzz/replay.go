@@ -171,21 +171,24 @@ type siteProbe struct {
 	site         int
 	wantOverflow bool
 	val          float64
+	stopped      bool
 }
 
-func (p *siteProbe) Reset() { p.val = 0 }
+func (p *siteProbe) Reset() { p.val, p.stopped = 0, false }
 
 func (p *siteProbe) Branch(int, fp.CmpOp, float64, float64) {}
 
 func (p *siteProbe) FPOp(site int, v float64) bool {
-	if site != p.site {
-		return false
+	if p.stopped || site != p.site {
+		return p.stopped
 	}
 	p.val = v
 	if p.wantOverflow {
-		return fp.OverflowDist(v) == 0
+		p.stopped = fp.OverflowDist(v) == 0
+	} else {
+		p.stopped = math.IsNaN(v) || math.IsInf(v, 0)
 	}
-	return math.IsNaN(v) || math.IsInf(v, 0)
+	return p.stopped
 }
 
 func (p *siteProbe) Value() float64 { return 0 }

@@ -200,6 +200,46 @@ func TestOverflowEarlyStop(t *testing.T) {
 	}
 }
 
+// TestStoppedMonitorsLatch pins the rt.Monitor stop contract for the
+// two monitors that stop a run: a native port runs on after FPOp
+// returns true, so every later FPOp and Branch must leave w and the
+// targeted site as the stop left them, until Reset.
+func TestStoppedMonitorsLatch(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		m    interface {
+			rt.Monitor
+			LastSite() int
+		}
+		stop float64 // a value that stops the monitor
+	}{
+		{"overflow", instrument.NewOverflow(), math.Inf(1)},
+		{"nonfinite", instrument.NewNonFinite(), math.NaN()},
+	} {
+		m := c.m
+		m.Reset()
+		if m.FPOp(0, 1) {
+			t.Fatalf("%s: stopped at a finite value", c.name)
+		}
+		if !m.FPOp(1, c.stop) {
+			t.Fatalf("%s: did not stop at %v", c.name, c.stop)
+		}
+		w, site := m.Value(), m.LastSite()
+		for i, v := range []float64{1, -2.5, math.MaxFloat64, c.stop} {
+			m.Branch(i, fp.LT, v, 0)
+			m.FPOp(2+i, v)
+			if m.Value() != w || m.LastSite() != site {
+				t.Fatalf("%s: after the stop, FPOp(%d, %v) moved (w, site) from (%v, %d) to (%v, %d)",
+					c.name, 2+i, v, w, site, m.Value(), m.LastSite())
+			}
+		}
+		m.Reset()
+		if m.FPOp(7, 1) || m.LastSite() != 7 {
+			t.Errorf("%s: Reset did not clear the stop (last site %d)", c.name, m.LastSite())
+		}
+	}
+}
+
 func TestOverflowTrackedSetMakesNoOp(t *testing.T) {
 	p := progs.Fig2()
 	m := instrument.NewOverflow()

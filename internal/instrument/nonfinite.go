@@ -17,13 +17,14 @@ import (
 //
 //	w = finite(a) ? 1 + (MAX - |a|) : 0
 //
-// and aborts execution when w hits 0. The distance differs from the
-// overflow monitor's in one deliberate way: a *finite* result of
-// magnitude MAX (saturation, which Algorithm 3 counts as overflow) is
-// not in the target set — w stays at 1 there, so only genuine NaN/Inf
-// results terminate the search. Minimization still rides the same
-// gradient (grow the magnitude until the cliff), which is how NaNs from
-// Inf−Inf, Inf/Inf, and 0·Inf are reached in practice.
+// and aborts execution when w hits 0, ignoring the rest of the run
+// until Reset. The distance differs from the overflow monitor's in one
+// deliberate way: a *finite* result of magnitude MAX (saturation, which
+// Algorithm 3 counts as overflow) is not in the target set — w stays at
+// 1 there, so only genuine NaN/Inf results terminate the search.
+// Minimization still rides the same gradient (grow the magnitude until
+// the cliff), which is how NaNs from Inf−Inf, Inf/Inf, and 0·Inf are
+// reached in practice.
 type NonFinite struct {
 	// L is the set of operation sites already handled. The analysis
 	// driver shares one read-only snapshot across a round's monitors.
@@ -50,6 +51,9 @@ func (m *NonFinite) Branch(int, fp.CmpOp, float64, float64) {}
 
 // FPOp implements rt.Monitor.
 func (m *NonFinite) FPOp(site int, v float64) bool {
+	if m.w == 0 {
+		return true // stopped: w and lastSite stay until Reset
+	}
 	if m.L.Has(site) {
 		return false // behaves like a no-op once tracked
 	}

@@ -12,7 +12,9 @@ import (
 //
 // and aborts execution when w hits 0 (the injected `if (w == 0) return;`).
 // The weak distance therefore targets the *last executed* not-yet-covered
-// operation, which Algorithm 3 step 7 uses as the next target.
+// operation, which Algorithm 3 step 7 uses as the next target. Once w is
+// 0 the monitor ignores the rest of the run, which a native port
+// executes to its end.
 //
 // w_init is 1 (Algorithm 3 step 3): when every operation is in L, all
 // injected code is a no-op and W returns 1, signalling that no further
@@ -43,6 +45,9 @@ func (m *Overflow) Branch(int, fp.CmpOp, float64, float64) {}
 
 // FPOp implements rt.Monitor.
 func (m *Overflow) FPOp(site int, v float64) bool {
+	if m.w == 0 {
+		return true // stopped: w and lastSite stay until Reset
+	}
 	if m.L.Has(site) {
 		return false // behaves like a no-op once tracked (step 2 guard)
 	}

@@ -117,7 +117,7 @@ func (it *Interp) Program(fnName string) (*rt.Program, error) {
 	var run func(ctx *rt.Ctx, x []float64)
 	if it.Engine == EngineTree {
 		run = func(ctx *rt.Ctx, x []float64) {
-			it.run(ctx, fn, x)
+			it.run(ctx.Monitor(), fn, x)
 		}
 	} else {
 		cm, err := it.compiledModule()
@@ -142,9 +142,6 @@ func (it *Interp) Program(fnName string) (*rt.Program, error) {
 		Ops:      it.Mod.OpSites,
 		Branches: it.Mod.BranchSites,
 		Run:      run,
-		// The VM unwinds monitor stops through ordinary returns; only
-		// the tree-walker needs the panic-based protocol.
-		NoPanicStop: it.Engine != EngineTree,
 		// The module (and its compiled flat code) is immutable, but the
 		// executing machinery is not (frame arena, step counter, failure
 		// log), so a concurrent-safe instance wraps a fresh interpreter
@@ -175,7 +172,7 @@ func (it *Interp) Run(fnName string, x []float64) (float64, error) {
 		return 0, fmt.Errorf("interp: no function %q in module", fnName)
 	}
 	if it.Engine == EngineTree {
-		return it.run(rt.NewCtx(rt.NopMonitor{}), fn, x), nil
+		return it.run(rt.NopMonitor{}, fn, x), nil
 	}
 	cm, err := it.compiledModule()
 	if err != nil {
@@ -191,12 +188,9 @@ func (it *Interp) Run(fnName string, x []float64) (float64, error) {
 	return it.vm.Run(rt.NewCtx(rt.NopMonitor{}), cm.Func(fnName), x), nil
 }
 
-// budgetExceeded is the internal control panic for step-limit aborts.
-type budgetExceeded struct{}
-
-// run executes fn on x under ctx with the tree-walking engine,
-// returning its result (0 for void).
-func (it *Interp) run(ctx *rt.Ctx, fn *ir.Func, x []float64) float64 {
+// run executes fn on x under mon with the tree-walking engine,
+// returning its result (0 for void, NaN when the run was abandoned).
+func (it *Interp) run(mon rt.Monitor, fn *ir.Func, x []float64) float64 {
 	if len(x) != fn.NParams {
 		panic(fmt.Sprintf("interp: %s expects %d inputs, got %d", fn.Name, fn.NParams, len(x)))
 	}
@@ -206,24 +200,17 @@ func (it *Interp) run(ctx *rt.Ctx, fn *ir.Func, x []float64) float64 {
 	}
 	it.steps = 0
 	it.input = x
-	var ret float64
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(budgetExceeded); ok {
-					ret = math.NaN()
-					return
-				}
-				panic(r)
-			}
-		}()
-		ret = it.call(ctx, fn, x, max)
-	}()
+	ret, ok := it.call(mon, fn, x, max)
+	if !ok {
+		return math.NaN()
+	}
 	return ret
 }
 
-// call executes one function activation.
-func (it *Interp) call(ctx *rt.Ctx, fn *ir.Func, args []float64, max int) float64 {
+// call executes one function activation. Like compile.Machine, it
+// abandons a run through ordinary returns: it reports false when the
+// step budget ran out or the monitor asked to stop.
+func (it *Interp) call(mon rt.Monitor, fn *ir.Func, args []float64, max int) (float64, bool) {
 	fregs := make([]float64, fn.NumRegs())
 	bregs := make([]bool, fn.NumRegs())
 	copy(fregs, args)
@@ -233,10 +220,11 @@ func (it *Interp) call(ctx *rt.Ctx, fn *ir.Func, args []float64, max int) float6
 	for {
 		it.steps++
 		if it.steps > max {
-			panic(budgetExceeded{})
+			return 0, false
 		}
 		in := &fn.Blocks[bi].Instrs[ii]
 		ii++
+		var v float64 // the result of an FP arithmetic instruction
 		switch in.Op {
 		case ir.ConstF:
 			fregs[in.Dst] = in.Val
@@ -249,17 +237,19 @@ func (it *Interp) call(ctx *rt.Ctx, fn *ir.Func, args []float64, max int) float6
 				fregs[in.Dst] = fregs[in.A]
 			}
 		case ir.FAdd:
-			fregs[in.Dst] = ctx.Op(in.Site, fregs[in.A]+fregs[in.B])
+			v = fregs[in.A] + fregs[in.B]
 		case ir.FSub:
-			fregs[in.Dst] = ctx.Op(in.Site, fregs[in.A]-fregs[in.B])
+			v = fregs[in.A] - fregs[in.B]
 		case ir.FMul:
-			fregs[in.Dst] = ctx.Op(in.Site, fregs[in.A]*fregs[in.B])
+			v = fregs[in.A] * fregs[in.B]
 		case ir.FDiv:
-			fregs[in.Dst] = ctx.Op(in.Site, fregs[in.A]/fregs[in.B])
+			v = fregs[in.A] / fregs[in.B]
 		case ir.FNeg:
 			fregs[in.Dst] = -fregs[in.A]
 		case ir.FCmp:
-			bregs[in.Dst] = ctx.Cmp(in.Site, in.Pred, fregs[in.A], fregs[in.B])
+			a, b := fregs[in.A], fregs[in.B]
+			mon.Branch(in.Site, in.Pred, a, b)
+			bregs[in.Dst] = in.Pred.Eval(a, b)
 		case ir.Not:
 			bregs[in.Dst] = !bregs[in.A]
 		case ir.Call:
@@ -280,12 +270,15 @@ func (it *Interp) call(ctx *rt.Ctx, fn *ir.Func, args []float64, max int) float6
 			for i, a := range in.Args {
 				cargs[i] = fregs[a]
 			}
-			v := it.call(ctx, callee, cargs, max)
+			r, ok := it.call(mon, callee, cargs, max)
+			if !ok {
+				return 0, false
+			}
 			if in.Dst >= 0 {
 				if fn.Kinds[in.Dst] == ir.RegB {
-					bregs[in.Dst] = v != 0
+					bregs[in.Dst] = r != 0
 				} else {
-					fregs[in.Dst] = v
+					fregs[in.Dst] = r
 				}
 			}
 		case ir.CallBuiltin:
@@ -294,7 +287,6 @@ func (it *Interp) call(ctx *rt.Ctx, fn *ir.Func, args []float64, max int) float6
 			// a fallback for hand-built modules that skipped Link,
 			// mirroring the Call fallback above. (No caching here: the
 			// module may be shared across concurrent instances.)
-			var v float64
 			fn1, fn2 := in.Fn1, in.Fn2
 			if fn1 == nil && fn2 == nil {
 				var err error
@@ -308,7 +300,6 @@ func (it *Interp) call(ctx *rt.Ctx, fn *ir.Func, args []float64, max int) float6
 			} else {
 				v = fn2(fregs[in.Args[0]], fregs[in.Args[1]])
 			}
-			fregs[in.Dst] = ctx.Op(in.Site, v)
 		case ir.Jmp:
 			bi, ii = in.Target, 0
 		case ir.CondJmp:
@@ -321,13 +312,13 @@ func (it *Interp) call(ctx *rt.Ctx, fn *ir.Func, args []float64, max int) float6
 			if in.A >= 0 {
 				if fn.Kinds[in.A] == ir.RegB {
 					if bregs[in.A] {
-						return 1
+						return 1, true
 					}
-					return 0
+					return 0, true
 				}
-				return fregs[in.A]
+				return fregs[in.A], true
 			}
-			return 0
+			return 0, true
 		case ir.Assert:
 			if !bregs[in.A] {
 				it.Failures = append(it.Failures, AssertFailure{
@@ -338,6 +329,12 @@ func (it *Interp) call(ctx *rt.Ctx, fn *ir.Func, args []float64, max int) float6
 			}
 		default:
 			panic(fmt.Sprintf("interp: unknown opcode %s", in.Op))
+		}
+		if in.Op.IsFPArith() {
+			fregs[in.Dst] = v
+			if mon.FPOp(in.Site, v) {
+				return 0, false
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -38,8 +39,9 @@ type registeredProgram struct {
 	source string
 }
 
-// DefaultMaxPrograms bounds the program registry.
-const DefaultMaxPrograms = 1024
+// MaxPrograms bounds the program registry. Registration beyond the
+// bound is refused (the client controls eviction via DELETE).
+const MaxPrograms = 1024
 
 // ProgramStore is the fpserve /v1 program registry: FPL sources
 // registered once under their content address and referenced by ID from
@@ -47,11 +49,6 @@ const DefaultMaxPrograms = 1024
 // cache, so the first job on a registered program is already a cache
 // hit, and identical sources registered twice are the same resource.
 type ProgramStore struct {
-	// MaxPrograms bounds registered programs; 0 selects
-	// DefaultMaxPrograms. Registration beyond the bound is refused (the
-	// client controls eviction via DELETE).
-	MaxPrograms int
-
 	cache *ModuleCache
 
 	mu   sync.Mutex
@@ -64,9 +61,7 @@ func NewProgramStore(cache *ModuleCache) *ProgramStore {
 }
 
 // ErrStoreFull is returned when registration would exceed MaxPrograms.
-type ErrStoreFull struct{ Max int }
-
-func (e ErrStoreFull) Error() string { return "program store full" }
+var ErrStoreFull = errors.New("program store full")
 
 // Register validates and registers source under its content address,
 // with lg as its language and fn (empty = first declared) as the
@@ -87,13 +82,9 @@ func (ps *ProgramStore) Register(lg gofront.Lang, source, fn string, now time.Ti
 		}
 		return info, true, nil
 	}
-	max := ps.MaxPrograms
-	if max <= 0 {
-		max = DefaultMaxPrograms
-	}
-	if len(ps.byID) >= max {
+	if len(ps.byID) >= MaxPrograms {
 		ps.mu.Unlock()
-		return ProgramInfo{}, false, ErrStoreFull{Max: max}
+		return ProgramInfo{}, false, ErrStoreFull
 	}
 	ps.mu.Unlock()
 
@@ -133,8 +124,8 @@ func (ps *ProgramStore) Register(lg gofront.Lang, source, fn string, now time.Ti
 		}
 		return rp.info, true, nil
 	}
-	if len(ps.byID) >= max { // re-check: concurrent distinct registrations
-		return ProgramInfo{}, false, ErrStoreFull{Max: max}
+	if len(ps.byID) >= MaxPrograms { // re-check: concurrent distinct registrations
+		return ProgramInfo{}, false, ErrStoreFull
 	}
 	ps.byID[id] = &registeredProgram{info: info, source: source}
 	return info, false, nil

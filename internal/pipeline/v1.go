@@ -75,11 +75,10 @@ func (s *Server) handleProgramRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	info, existed, err := s.Programs.Register(lg, req.Source, req.Func, time.Now().UTC())
 	if err != nil {
-		var full ErrStoreFull
-		if errors.As(err, &full) {
+		if errors.Is(err, ErrStoreFull) {
 			writeProblem(w, http.StatusInsufficientStorage, problemOverloaded,
 				"program store full",
-				fmt.Sprintf("the store holds its maximum of %d programs; DELETE one to make room", full.Max))
+				fmt.Sprintf("the store holds its maximum of %d programs; DELETE one to make room", MaxPrograms))
 			return
 		}
 		validationProblem(w, "program does not compile",

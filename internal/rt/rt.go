@@ -9,6 +9,13 @@
 // runs (boundary value, path reachability, overflow detection, coverage)
 // is decided by the Monitor plugged in at run time, exactly as the
 // paper's Analysis Designer layer chooses w_init and update_w.
+//
+// Algorithm 3's injected `if (w == 0) return;` is a Monitor.FPOp that
+// returns true. The FPL engines (internal/compile, internal/interp)
+// return at once; a native port runs to completion, since every loop in
+// a port is bounded, and the monitor latches: it ignores every later
+// observation until Reset, so w keeps the value of the operation that
+// stopped the run. No execution unwinds by panic.
 package rt
 
 import (
@@ -27,8 +34,10 @@ type Monitor interface {
 	// before it executes.
 	Branch(site int, op fp.CmpOp, a, b float64)
 	// FPOp observes the result of the floating-point operation at the
-	// given site. Returning stop=true aborts the execution immediately
-	// (Algorithm 3's injected `if (w == 0) return;`).
+	// given site. Returning stop=true is Algorithm 3's injected
+	// `if (w == 0) return;`: an FPL engine returns at once, while a
+	// native port runs on to its end. A monitor that has returned true
+	// must therefore ignore every later FPOp and Branch until Reset.
 	FPOp(site int, v float64) (stop bool)
 	// Value returns the weak distance w accumulated by the execution.
 	Value() float64
@@ -82,18 +91,6 @@ type Program struct {
 	// multi-start engine can give every worker its own instance.
 	NewInstance func() *Program
 
-	// NoPanicStop declares that Run honors monitor early-stop requests
-	// through ordinary control flow and never raises the stop panic
-	// (true for the compiled flat-code engine). Execute then skips its
-	// recover wrapper on the per-evaluation path.
-	//
-	// The panic stop stays for the native ports, which unwind through
-	// it. A prototype that instead latched the stop and let a native
-	// port run on unobserved made BenchmarkWeakDistanceEval/airy/overflow
-	// slower: 0.94–1.11 µs per evaluation became 1.27–1.48 µs (2-vCPU
-	// linux/amd64 host). It leaves together with the native ports.
-	NoPanicStop bool
-
 	// RunBatch is unused: nothing in this module sets it, and every
 	// evaluation goes through Run. It stays only because the benchmark
 	// harness (perfbench/layers.go, a separate module) still wraps it
@@ -123,8 +120,7 @@ func (p *Program) Instance() *Program {
 var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
 
 // Execute runs the program on x under the monitor and returns the
-// accumulated weak distance. Early stops requested by the monitor are
-// honored via panic-based unwinding confined to this call.
+// accumulated weak distance.
 func (p *Program) Execute(m Monitor, x []float64) float64 {
 	m.Reset()
 	if p.NewInstance != nil {
@@ -134,34 +130,16 @@ func (p *Program) Execute(m Monitor, x []float64) float64 {
 			p.ctx = new(Ctx)
 		}
 		p.ctx.mon = m
-		if p.NoPanicStop {
-			p.Run(p.ctx, x)
-		} else {
-			p.runProtected(p.ctx, x)
-		}
+		p.Run(p.ctx, x)
 		p.ctx.mon = nil
 		return m.Value()
 	}
 	ctx := ctxPool.Get().(*Ctx)
 	ctx.mon = m
-	p.runProtected(ctx, x)
+	p.Run(ctx, x)
 	ctx.mon = nil
 	ctxPool.Put(ctx)
 	return m.Value()
-}
-
-// runProtected confines the early-stop unwinding to one frame. (If Run
-// panics with anything else, the context is deliberately not returned
-// to the pool.)
-func (p *Program) runProtected(ctx *Ctx, x []float64) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(stopExecution); !ok {
-				panic(r)
-			}
-		}
-	}()
-	p.Run(ctx, x)
 }
 
 // WeakDistance returns the weak-distance objective W(x) induced by the
@@ -172,25 +150,16 @@ func (p *Program) runProtected(ctx *Ctx, x []float64) {
 // construction (Algorithm 2 step 1 / Algorithm 3 step 3).
 //
 // Like the monitor it binds, the objective serves one goroutine at a
-// time, so for a stateless program it owns one context instead of
-// drawing one from the pool on every evaluation.
+// time, so it owns one context instead of drawing one from the pool on
+// every evaluation.
 func (p *Program) WeakDistance(m Monitor) func(x []float64) float64 {
-	if p.NewInstance != nil {
-		return func(x []float64) float64 {
-			return p.Execute(m, x)
-		}
-	}
 	ctx := &Ctx{mon: m}
 	return func(x []float64) float64 {
 		m.Reset()
-		p.runProtected(ctx, x)
+		p.Run(ctx, x)
 		return m.Value()
 	}
 }
-
-// stopExecution is the sentinel panic used to abort a run when a monitor
-// requests early termination.
-type stopExecution struct{}
 
 // Ctx is the execution context handed to a port's Run function.
 type Ctx struct {
@@ -198,24 +167,25 @@ type Ctx struct {
 }
 
 // NewCtx returns a context forwarding observations to m. Most callers
-// should use Program.Execute, which also handles early-stop unwinding;
-// NewCtx exists for direct execution (e.g. extracting a port's return
-// value with a NopMonitor).
+// should use Program.Execute, which also resets the monitor and reads
+// w; NewCtx exists for direct execution (e.g. extracting a port's
+// return value with a NopMonitor).
 func NewCtx(m Monitor) *Ctx { return &Ctx{mon: m} }
 
-// Monitor returns the monitor the context forwards to. Execution
-// engines that dispatch observations themselves (internal/compile) use
-// it to call the monitor directly instead of going through Op/Cmp.
+// Monitor returns the monitor the context forwards to. The FPL engines
+// (internal/compile, internal/interp) call it directly instead of going
+// through Op/Cmp, so they can return when FPOp asks them to stop.
 func (c *Ctx) Monitor() Monitor { return c.mon }
 
 // Op reports the result of the FP operation at the given site and returns
 // it, so ports can wrap expressions inline:
 //
 //	mu := ctx.Op(1, ctx.Op(0, 4.0*nu)*nu)
+//
+// A stop request is not acted on here: the port runs on, and the
+// latched monitor ignores the rest of the run.
 func (c *Ctx) Op(site int, v float64) float64 {
-	if c.mon.FPOp(site, v) {
-		panic(stopExecution{})
-	}
+	c.mon.FPOp(site, v)
 	return v
 }
 

@@ -35,26 +35,35 @@ func TestCtxCmpEvaluates(t *testing.T) {
 	}
 }
 
-// stopAfter aborts execution after n FP ops.
+// stopAfter stops the run at its nth FP op and then latches, as the
+// rt.Monitor contract asks: it ignores every later observation until
+// Reset. late counts the FP ops the port ran after the stop.
 type stopAfter struct {
-	n, seen int
+	n, seen, late int
 }
 
-func (m *stopAfter) Reset()                                 { m.seen = 0 }
+func (m *stopAfter) Reset()                                 { m.seen, m.late = 0, 0 }
 func (m *stopAfter) Branch(int, fp.CmpOp, float64, float64) {}
 func (m *stopAfter) Value() float64                         { return float64(m.seen) }
 func (m *stopAfter) FPOp(site int, v float64) bool {
+	if m.seen >= m.n {
+		m.late++
+		return true
+	}
 	m.seen++
 	return m.seen >= m.n
 }
 
-func TestEarlyStopUnwinds(t *testing.T) {
+func TestEarlyStopLatches(t *testing.T) {
 	p := progs.Fig2()
 	m := &stopAfter{n: 1}
-	// Input 0 executes ops inc, square, dec; the stop after the first op
-	// must abort before the others.
+	// Input 0 executes ops inc, square, dec. The native port runs on
+	// after the stop at inc; the latched monitor keeps w at the stop.
 	if w := p.Execute(m, []float64{0}); w != 1 {
-		t.Errorf("execution saw %v ops, want stop after 1", w)
+		t.Errorf("w = %v, want 1: fixed at the stop after the first op", w)
+	}
+	if m.late != 2 {
+		t.Errorf("the port ran %d ops after the stop, want 2", m.late)
 	}
 }
 
@@ -87,15 +96,15 @@ func TestWeakDistanceClosure(t *testing.T) {
 }
 
 // TestWeakDistanceRepeatedCalls checks that a stateless port's weak
-// distance resets its monitor and honors early stops on every call, and
-// allocates nothing per call.
+// distance resets its monitor on every call, so each call's w is fixed
+// at that call's stop, and allocates nothing per call.
 func TestWeakDistanceRepeatedCalls(t *testing.T) {
 	p := progs.Fig2()
 	w := p.WeakDistance(&stopAfter{n: 2})
 	x := []float64{0}
 	for i := 0; i < 3; i++ {
 		if got := w(x); got != 2 {
-			t.Fatalf("call %d saw %v ops, want stop after 2", i, got)
+			t.Fatalf("call %d: w = %v, want 2: fixed at the stop after 2 ops", i, got)
 		}
 	}
 	if a := testing.AllocsPerRun(100, func() { w(x) }); a != 0 {
